@@ -1,7 +1,7 @@
 """Exact Jacobi polynomials, t-design checks, and dual-shell scans for
 first-order generalized Reed-Muller codes over any prime-power field."""
 
-from .field import Field, make_field
+from .field import Field
 from .grm import (
     COLLINEAR_TRIPLE,
     GENERIC,
@@ -31,10 +31,8 @@ from .jacobi import (
     weight_enumerator,
 )
 from .designs import (
-    BlockMultiset,
     DesignReport,
     GeneralizedDesignParams,
-    blocks_of_shell,
     count_blocks_containing,
     design_check_bruteforce,
     design_check_jacobi,

@@ -1,8 +1,8 @@
 """Deterministic worker-pool helpers.
 
-Work is split into chunks up front and results are merged in chunk order
-(or by commutative integer sums), so every output is identical whatever
-the worker count.  A worker count of 1 runs inline with no pool.
+Work is split into contiguous chunks up front and results are merged in
+chunk order (or by commutative integer sums), so every output is identical
+whatever the worker count.  A worker count of 1 runs inline with no pool.
 """
 
 from __future__ import annotations
@@ -21,6 +21,13 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
+
+
+def split(items, workers: int) -> list:
+    """Contiguous slices of items: one at one worker, otherwise at most
+    4 * workers, so a slow slice does not leave the other workers idle."""
+    count = 1 if workers <= 1 else max(1, min(4 * workers, len(items)))
+    return [items[len(items) * i // count : len(items) * (i + 1) // count] for i in range(count)]
 
 
 def run_chunks(fn, args_list: list, workers: int) -> list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
 from math import comb
 
@@ -35,15 +36,14 @@ from .jacobi import (
     jacobi_from_a,
     rank_difference_identity,
     weight_enumerator,
-    _cached_code,
 )
 from .conjecture import (
     dual_diff_coefficient,
     dual_rank_difference_identity,
     dual_weight_enumerator,
 )
-from .designs import design_check_bruteforce, design_check_jacobi
-from ._parallel import run_chunks
+from .designs import DEFAULT_BUDGET, design_check_bruteforce, design_check_jacobi
+from ._parallel import run_chunks, split
 
 SAMPLE_SEED = 7_2024_08
 FULL_SWEEP_LIMIT = 10**6
@@ -105,9 +105,7 @@ def _points_of(code: GrmCode, subset: tuple[int, ...]):
 # -- chunked sweeps -----------------------------------------------------------
 
 
-def _jacobi_sweep_chunk(args):
-    p, k, m, subsets = args
-    code = _cached_code(p, k, m)
+def _jacobi_sweep_chunk(code: GrmCode, subsets) -> list[dict]:
     mismatches = []
     for sub in subsets:
         points = _points_of(code, sub)
@@ -122,22 +120,13 @@ def _jacobi_sweep_chunk(args):
 def sweep_jacobi_equivalence(code: GrmCode, subsets, workers: int = 1) -> list[dict]:
     """Brute-force vs dispatched closed form for each subset; returns the
     (hopefully empty) mismatch list."""
-    p, k = code.field.p, code.field.k
-    if code.size * code.n <= 10**7:
-        code.value_table()
-    nchunks = 1 if workers <= 1 else min(workers * 4, max(len(subsets), 1))
-    bounds = [len(subsets) * i // nchunks for i in range(nchunks + 1)]
-    chunks = [(p, k, code.m, subsets[bounds[i] : bounds[i + 1]]) for i in range(nchunks)]
-    mismatches: list[dict] = []
-    for part in run_chunks(_jacobi_sweep_chunk, chunks, workers):
-        mismatches.extend(part)
-    return mismatches
+    chunks = split(subsets, workers)
+    parts = run_chunks(partial(_jacobi_sweep_chunk, code), chunks, workers)
+    return [mismatch for part in parts for mismatch in part]
 
 
-def _count_sweep_chunk(args):
-    p, k, m, subsets = args
-    code = _cached_code(p, k, m)
-    q = code.q
+def _count_sweep_chunk(code: GrmCode, subsets) -> list[dict]:
+    q, m = code.q, code.m
     mismatches = []
     for sub in subsets:
         points = _points_of(code, sub)
@@ -162,14 +151,9 @@ def _count_sweep_chunk(args):
 
 def sweep_count_tables(code: GrmCode, subsets, workers: int = 1) -> list[dict]:
     """Enumerated count tables vs the closed-form vectors for each subset."""
-    p, k = code.field.p, code.field.k
-    nchunks = 1 if workers <= 1 else min(workers * 4, max(len(subsets), 1))
-    bounds = [len(subsets) * i // nchunks for i in range(nchunks + 1)]
-    chunks = [(p, k, code.m, subsets[bounds[i] : bounds[i + 1]]) for i in range(nchunks)]
-    mismatches: list[dict] = []
-    for part in run_chunks(_count_sweep_chunk, chunks, workers):
-        mismatches.extend(part)
-    return mismatches
+    chunks = split(subsets, workers)
+    parts = run_chunks(partial(_count_sweep_chunk, code), chunks, workers)
+    return [mismatch for part in parts for mismatch in part]
 
 
 # -- individual checks ----------------------------------------------------------
@@ -328,7 +312,7 @@ def _design_check(name: str, t: int):
         ell = _middle_shell(code)
         if code.n < t or ell < t:
             return _result(name, code, SKIP, "middle shell smaller than t")
-        if comb(code.n, t) * (code.size - code.q) > 5 * 10**7:
+        if comb(code.n, t) * (code.size - code.q) > DEFAULT_BUDGET:
             return _result(name, code, SKIP, "beyond brute-force budget")
         via_jacobi = design_check_jacobi(code, ell, t, workers=workers)
         via_blocks = design_check_bruteforce(code, ell, t, workers=workers)

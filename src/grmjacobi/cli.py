@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .field import Field
@@ -68,9 +69,23 @@ def parse_points(text: str, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def parse_bound(text: str) -> int:
-    value = int(float(text))
+    """Parse a positive integer bound such as 10000, 1e7 or 2.5e6 exactly,
+    in integer arithmetic only."""
+    match = re.fullmatch(r"(\d+)(?:\.(\d*))?(?:[eE]([+-]?\d+))?", text.strip())
+    if match is None:
+        raise ValueError(f"bound must be a positive integer such as 1e7, got {text!r}")
+    whole, frac, exp = match.groups(default="")
+    digits = whole + frac
+    shift = int(exp or 0) - len(frac)
+    if shift >= 0:
+        value = int(digits) * 10**shift
+    else:
+        # a nonzero mantissa of d digits is never a multiple of 10^(d+1)
+        value, rest = divmod(int(digits), 10 ** min(-shift, len(digits) + 1))
+        if rest:
+            raise ValueError(f"bound must be an integer, got {text!r}")
     if value <= 0:
-        raise ValueError(f"bound must be positive, got {text}")
+        raise ValueError(f"bound must be positive, got {text!r}")
     return value
 
 
@@ -320,10 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=1, help="extension degree (q = p^k)")
         p.add_argument("--m", type=int, required=True, help="dimension of the point space")
 
-    def add_common(p):
-        p.add_argument(
-            "--output", choices=("json", "pretty", "csv"), default="json"
-        )
+    def add_common(p, outputs=("json", "pretty")):
+        p.add_argument("--output", choices=outputs, default="json")
         p.add_argument(
             "--workers", type=int, default=None,
             help="worker processes (default: GRMJACOBI_WORKERS or 1)",
@@ -347,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--l", type=int, required=True, help="shell weight")
     pd.add_argument("--t", type=int, required=True, help="design strength")
     pd.add_argument("--method", choices=("jacobi", "brute", "both"), default="both")
-    add_common(pd)
+    add_common(pd, outputs=("json", "pretty", "csv"))
     pd.set_defaults(fn=cmd_design)
 
     pv = sub.add_parser("verify", help="run the closed-form cross-checks")

@@ -294,6 +294,6 @@ def conjecture_scan(
     regardless of the worker count."""
     if bound < MIN_BOUND:
         raise ValueError(f"bound must be >= {MIN_BOUND}, got {bound}")
-    pairs = scan_pairs(bound)
-    results = run_chunks(_scan_chunk, pairs, workers)
-    return sorted(results, key=lambda r: (r.q, r.m))
+    # One task per pair, not contiguous chunks: the small-q pairs at the
+    # head of the list carry most of the work.
+    return run_chunks(_scan_chunk, scan_pairs(bound), workers)

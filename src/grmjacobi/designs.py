@@ -12,37 +12,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .grm import (
     COLLINEAR_TRIPLE,
     GENERIC,
+    Codeword,
     GrmCode,
     PointSet,
     TClass,
     class_witness,
     classify_T,
+    _census_chunk,
 )
 from .jacobi import closed_form_a, jacobi_closed_form
-from ._parallel import run_chunks
+from ._parallel import run_chunks, split
 
 DEFAULT_BUDGET = 5 * 10**7
-
-
-@dataclass(frozen=True)
-class BlockMultiset:
-    """Supports of a shell's codewords, one block per codeword."""
-
-    ell: int
-    blocks: tuple[frozenset[int], ...]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def blocks_of_shell(code: GrmCode, ell: int) -> BlockMultiset:
-    blocks = tuple(code.support(c) for c in code.shell(ell))
-    return BlockMultiset(ell, blocks)
 
 
 @dataclass(frozen=True)
@@ -83,48 +70,24 @@ class DesignReport:
         }
 
 
-def _require_shell(code: GrmCode, ell: int, t: int) -> int:
+def _require_shell(code: GrmCode, ell: int, t: int) -> list[Codeword]:
     if t not in (2, 3, 4):
         raise ValueError(f"t must be in {{2, 3, 4}}, got {t}")
-    count = len(code.shell(ell))
-    if count == 0:
+    shell = code.shell(ell)
+    if not shell:
         raise ValueError(f"shell of weight {ell} is empty for {code!r}")
-    return count
+    return shell
 
 
 def _class_census_counts(code: GrmCode, t: int, workers: int = 1) -> dict[TClass, int]:
-    subsets = list(combinations(range(code.n), t))
-    points = code.points()
+    subsets = combinations(range(code.n), t)
     if workers <= 1:
-        census: dict[TClass, int] = {}
-        for sub in subsets:
-            cls = classify_T(code, tuple(points[i] for i in sub))
-            census[cls] = census.get(cls, 0) + 1
-        return census
-    p, k = code.field.p, code.field.k
-    nchunks = min(workers * 4, len(subsets)) or 1
-    bounds = [len(subsets) * i // nchunks for i in range(nchunks + 1)]
-    chunks = [
-        (p, k, code.m, subsets[bounds[i] : bounds[i + 1]])
-        for i in range(nchunks)
-    ]
-    census = {}
-    for part in run_chunks(_census_chunk, chunks, workers):
+        return _census_chunk(code, subsets)
+    census: dict[TClass, int] = {}
+    chunks = split(list(subsets), workers)
+    for part in run_chunks(partial(_census_chunk, code), chunks, workers):
         for cls, cnt in part.items():
             census[cls] = census.get(cls, 0) + cnt
-    return census
-
-
-def _census_chunk(args) -> dict[TClass, int]:
-    from .jacobi import _cached_code
-
-    p, k, m, subsets = args
-    code = _cached_code(p, k, m)
-    points = code.points()
-    census: dict[TClass, int] = {}
-    for sub in subsets:
-        cls = classify_T(code, tuple(points[i] for i in sub))
-        census[cls] = census.get(cls, 0) + 1
     return census
 
 
@@ -137,7 +100,7 @@ def design_check_jacobi(
     is missed); the number of weight-ell blocks through a subset is the
     coefficient of z^t x^(n-ell) y^(ell-t) in its class's polynomial.
     """
-    block_count = _require_shell(code, ell, t)
+    block_count = len(_require_shell(code, ell, t))
     census = _class_census_counts(code, t, workers=workers)
     lam = {}
     for cls in census:
@@ -163,23 +126,19 @@ def design_check_bruteforce(
     which would falsify the class-determines-count property the Jacobi
     route relies on.
     """
-    block_count = _require_shell(code, ell, t)
+    shell = _require_shell(code, ell, t)
+    block_count = len(shell)
     n_subsets = math.comb(code.n, t)
     if n_subsets * block_count > budget:
         raise ValueError(
             f"{n_subsets} subsets x {block_count} blocks exceeds budget {budget}"
         )
+    blocks = [code.support(c) for c in shell]
     subsets = list(combinations(range(code.n), t))
-    p, k = code.field.p, code.field.k
-    nchunks = 1 if workers <= 1 else min(workers * 4, len(subsets))
-    bounds = [len(subsets) * i // nchunks for i in range(nchunks + 1)]
-    chunks = [
-        (p, k, code.m, ell, t, subsets[bounds[i] : bounds[i + 1]])
-        for i in range(nchunks)
-    ]
+    chunk = partial(_count_chunk, code, blocks)
     lam: dict[TClass, int] = {}
     census: dict[TClass, int] = {}
-    for part_lam, part_census in run_chunks(_count_chunk, chunks, workers):
+    for part_lam, part_census in run_chunks(chunk, split(subsets, workers), workers):
         for cls, vals in part_lam.items():
             seen = lam.get(cls)
             merged = set(vals) | ({seen} if seen is not None else set())
@@ -194,13 +153,8 @@ def design_check_bruteforce(
     return _finish_report(code, ell, t, "bruteforce", lam, census, block_count)
 
 
-def _count_chunk(args):
-    from .jacobi import _cached_code
-
-    p, k, m, ell, t, subsets = args
-    code = _cached_code(p, k, m)
+def _count_chunk(code: GrmCode, blocks: list[frozenset[int]], subsets):
     points = code.points()
-    blocks = [code.support(c) for c in code.shell(ell)]
     lam: dict[TClass, set[int]] = {}
     census: dict[TClass, int] = {}
     for sub in subsets:

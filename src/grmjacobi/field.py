@@ -15,6 +15,7 @@ indices, and everything built on them, reproducible across runs.
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 
 # Fields up to this order get full add/mul lookup tables.
 _TABLE_LIMIT = 256
@@ -170,7 +171,14 @@ class Field:
 
     def dot(self, u, v) -> int:
         """Dot product of two element-index vectors."""
+        if self.k == 1:
+            return sum(map(mul, u, v)) % self.p
         acc = 0
+        if self._add_table is not None:
+            add, times, q = self._add_table, self._mul_table, self.q
+            for a, b in zip(u, v):
+                acc = add[acc * q + times[a * q + b]]
+            return acc
         for a, b in zip(u, v):
             acc = self.add(acc, self.mul(a, b))
         return acc
@@ -221,8 +229,3 @@ class Field:
         if self.k == 1:
             return f"Field(p={self.p})"
         return f"Field(p={self.p}, k={self.k}, modulus={self.modulus})"
-
-
-def make_field(p: int, k: int = 1) -> Field:
-    """Construct GF(p^k) with the canonical (lex-least) modulus."""
-    return Field(p, k)

@@ -55,7 +55,6 @@ class GrmCode:
         self.size = field.q ** (m + 1)
         self._points: list[Point] | None = None
         self._point_index: dict[Point, int] | None = None
-        self._values: list[list[int]] | None = None
 
     # -- coordinates ---------------------------------------------------
 
@@ -89,30 +88,11 @@ class GrmCode:
     def value_row(self, c: Codeword) -> list[int]:
         return [self.evaluate(c, p) for p in self.points()]
 
-    def value_table(self) -> list[list[int]]:
-        """Full evaluation matrix, codeword-major; built once, cached."""
-        if self._values is None:
-            if self.size * self.n > 10**7:
-                raise MemoryError(
-                    f"value table of {self.size} x {self.n} exceeds the "
-                    "in-memory budget; evaluate codewords on demand instead"
-                )
-            self._values = [self.value_row(c) for c in self.codewords()]
-        return self._values
-
     def weight(self, c: Codeword) -> int:
         return sum(1 for v in self.value_row(c) if v)
 
     def support(self, c: Codeword) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(self.value_row(c)) if v)
-
-    def weight_by_formula(self, c: Codeword) -> int:
-        # Nonzero functionals hit every value q^(m-1) times, so their
-        # weight never depends on b.  The position scan in weight() is the
-        # independent oracle for this shortcut.
-        if any(c.lam):
-            return (self.q - 1) * self.q ** (self.m - 1)
-        return 0 if c.b == 0 else self.n
 
     def weight_distribution(self) -> dict[int, int]:
         """Enumerated weight -> count map (by full position scans)."""
@@ -249,9 +229,15 @@ def t_class_census(code: GrmCode, t: int, limit: int | None = None) -> dict[TCla
     total = comb(code.n, t)
     if limit is not None and total > limit:
         raise ValueError(f"census of {total} subsets exceeds limit {limit}")
+    return _census_chunk(code, combinations(range(code.n), t))
+
+
+def _census_chunk(code: GrmCode, subsets) -> dict[TClass, int]:
+    """Class -> count over subsets given as tuples of position indices."""
+    points = code.points()
     census: dict[TClass, int] = {}
-    for pts in combinations(code.points(), t):
-        cls = classify_T(code, pts)
+    for sub in subsets:
+        cls = classify_T(code, tuple(points[i] for i in sub))
         census[cls] = census.get(cls, 0) + 1
     return census
 

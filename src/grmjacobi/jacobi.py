@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import product
 
 from .grm import (
@@ -25,7 +26,7 @@ from .grm import (
     translate_T,
     _neg_point,
 )
-from ._parallel import run_chunks
+from ._parallel import run_chunks, split
 
 ExpKey = tuple[int, int, int, int]
 
@@ -177,61 +178,39 @@ def binom_conv(a_deg: int, alpha: int, b_deg: int) -> list[int]:
 
 # -- brute-force Jacobi ----------------------------------------------------
 
-_CODE_CACHE: dict[tuple[int, int, int], GrmCode] = {}
 
-
-def _cached_code(p: int, k: int, m: int) -> GrmCode:
-    key = (p, k, m)
-    if key not in _CODE_CACHE:
-        from .field import Field
-
-        _CODE_CACHE[key] = GrmCode(Field(p, k), m)
-    return _CODE_CACHE[key]
-
-
-def _brute_chunk(args) -> dict[ExpKey, int]:
-    p, k, m, points, lo, hi, full_scan = args
-    code = _cached_code(p, k, m)
-    return _accumulate_range(code, points, lo, hi, full_scan)
-
-
-def _accumulate_range(
-    code: GrmCode, points: PointSet, lo: int, hi: int, full_scan: bool
-) -> dict[ExpKey, int]:
-    t = len(points)
-    n = code.n
-    q = code.q
-    w_mid = (q - 1) * q ** (code.m - 1)
-    use_table = code.size * code.n <= 10**7
-    values = code.value_table() if use_table else None
-    positions = [code.point_index(p) for p in points] if use_table else None
+def _brute_chunk(code: GrmCode, points: PointSet, full_scan: bool, lams) -> dict[ExpKey, int]:
+    """Term counts of the codewords (lam, b) for every lam in lams and every b."""
+    t, n, q = len(points), code.n, code.q
+    dot = code.field.dot
+    positions = [code.point_index(pt) for pt in points] if full_scan else None
+    # A nonzero functional takes every value q^(m-1) times, so the weight
+    # of (lam, b) does not depend on b; for lam = 0 only b = 0 has weight 0.
+    mid_weights = [(q - 1) * q ** (code.m - 1)] * q
+    zero_weights = [0] + [n] * (q - 1)
+    counts: dict[tuple[int, int], int] = {}  # (zeros on T, weight) -> codewords
+    for lam in lams:
+        if full_scan:
+            rows = [code.value_row(Codeword(lam, b)) for b in range(q)]
+            pairs = [
+                (sum(1 for i in positions if not row[i]), sum(1 for v in row if v))
+                for row in rows
+            ]
+        else:
+            # (lam, b) vanishes at u exactly when lam(u) = -b, so as b runs
+            # over GF(q) its zeros on T run over the tally of lam's values,
+            # with b = 0 at value 0.
+            tally = [0] * q
+            for u in points:
+                tally[dot(lam, u)] += 1
+            pairs = zip(tally, mid_weights if any(lam) else zero_weights)
+        for pair in pairs:
+            counts[pair] = counts.get(pair, 0) + 1
     terms: dict[ExpKey, int] = {}
-    index = 0
-    for lam in product(range(q), repeat=code.m):
-        if index >= hi:
-            break
-        if index + q <= lo:
-            index += q
-            continue
-        lam_nonzero = any(lam)
-        for b in range(q):
-            if not lo <= index < hi:
-                index += 1
-                continue
-            if use_table:
-                row = values[index]
-                m1 = sum(1 for pos in positions if row[pos])
-                wt = sum(1 for v in row if v) if full_scan else None
-            else:
-                c = Codeword(lam, b)
-                m1 = sum(1 for pt in points if code.evaluate(c, pt))
-                wt = code.weight(c) if full_scan else None
-            if wt is None:
-                wt = w_mid if lam_nonzero else (0 if b == 0 else n)
-            n1 = wt - m1
-            key = (t - m1, m1, (n - t) - n1, n1)
-            terms[key] = terms.get(key, 0) + 1
-            index += 1
+    for (zeros, wt), c in counts.items():
+        m1 = t - zeros  # nonzero positions on T
+        n1 = wt - m1  # nonzero positions outside T
+        terms[(zeros, m1, (n - t) - n1, n1)] = c
     return terms
 
 
@@ -243,11 +222,14 @@ def jacobi_brute_force(
 ) -> JacobiPolynomial:
     """Jacobi polynomial by iterating over every codeword.
 
-    By default the count of nonzero positions outside T is derived from the
-    codeword's structural weight; full_scan=True recounts the weight by
-    scanning all q^m positions and serves as the independent oracle for
-    that shortcut.  The accumulation is a parallel reduction over codeword
-    index ranges; results do not depend on the worker count.
+    By default each functional lam is evaluated on T once, and the
+    restricted weights of all q codewords (lam, b) are read off the tally
+    of its values; the count of nonzero positions outside T comes from the
+    structural weight.  full_scan=True instead evaluates every codeword at
+    all q^m positions and serves as the independent oracle for both
+    shortcuts.  With several workers the functionals are split into
+    chunks whose counts are summed, so results do not depend on the
+    worker count.
     """
     t = len(points)
     if len(set(points)) != t:
@@ -255,23 +237,16 @@ def jacobi_brute_force(
     for pt in points:
         if not code.contains_point(pt):
             raise ValueError(f"point {pt} does not lie in V")
-    size = code.size
+    chunk = partial(_brute_chunk, code, tuple(points), full_scan)
+    lams = product(range(code.q), repeat=code.m)
     if workers <= 1:
-        terms = _accumulate_range(code, points, 0, size, full_scan)
+        parts = [chunk(lams)]
     else:
-        p, k = code.field.p, code.field.k
-        if code.size * code.n <= 10**7:
-            code.value_table()  # build before fork so children share it
-        nchunks = min(workers, size)
-        bounds = [size * i // nchunks for i in range(nchunks + 1)]
-        chunks = [
-            (p, k, code.m, tuple(points), bounds[i], bounds[i + 1], full_scan)
-            for i in range(nchunks)
-        ]
-        terms = {}
-        for part in run_chunks(_brute_chunk, chunks, workers):
-            for key, c in part.items():
-                terms[key] = terms.get(key, 0) + c
+        parts = run_chunks(chunk, split(list(lams), workers), workers)
+    terms: dict[ExpKey, int] = {}
+    for part in parts:
+        for key, c in part.items():
+            terms[key] = terms.get(key, 0) + c
     return JacobiPolynomial(t, code.n, terms)
 
 

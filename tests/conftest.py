@@ -6,7 +6,8 @@ _CODES: dict[tuple[int, int, int], GrmCode] = {}
 
 
 def get_code(p: int, k: int, m: int) -> GrmCode:
-    """Shared code instances so value tables are built once per session."""
+    """Shared code instances, so each field and point list is built once
+    per session."""
     key = (p, k, m)
     if key not in _CODES:
         _CODES[key] = GrmCode(Field(p, k), m)

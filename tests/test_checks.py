@@ -28,6 +28,7 @@ def test_unknown_check_rejected():
 
 
 def test_results_are_worker_count_invariant():
-    one = run_checks(pairs=((3, 1, 2),), only=["jacobi-triples"], workers=1)
-    two = run_checks(pairs=((3, 1, 2),), only=["jacobi-triples"], workers=2)
+    only = ["jacobi-triples", "count-tables-triples"]
+    one = run_checks(pairs=((3, 1, 2),), only=only, workers=1)
+    two = run_checks(pairs=((3, 1, 2),), only=only, workers=2)
     assert [r.to_json_dict() for r in one] == [r.to_json_dict() for r in two]

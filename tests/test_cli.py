@@ -45,8 +45,12 @@ def test_parse_bound():
     assert parse_bound("1e7") == 10**7
     assert parse_bound("1e9") == 10**9
     assert parse_bound("10000") == 10000
-    with pytest.raises(ValueError):
-        parse_bound("-3")
+    assert parse_bound("2.5e6") == 2_500_000
+    assert parse_bound("9007199254740993") == 9007199254740993  # 2^53 + 1
+    assert parse_bound("1e400") == 10**400
+    for bad in ("-3", "inf", "nan", "abc", "1.5", "1e-3", "0", ""):
+        with pytest.raises(ValueError):
+            parse_bound(bad)
 
 
 # ---------------------------------------------------------
@@ -248,8 +252,9 @@ def test_scan_deterministic_across_workers(capsys):
 
 
 def test_scan_bad_bound_exit_1(capsys):
-    code, _, err = run_cli(capsys, ["scan", "--bound", "12"])
-    assert code == 1
+    for bound in ("12", "inf"):
+        code, _, err = run_cli(capsys, ["scan", "--bound", bound])
+        assert code == 1 and err.startswith("error: ")
 
 
 # ---------------------------------------------------------
@@ -280,6 +285,14 @@ def test_enum_distribution_and_shell(capsys, schema):
 def test_missing_required_flag_exit_1(capsys):
     code, _, err = run_cli(capsys, ["jacobi", "--m", "2"])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["jacobi", "verify", "enum"])
+def test_csv_output_only_on_design(capsys, command):
+    argv = [command, "--p", "2", "--m", "2", "--output", "csv"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("error: argument --output: invalid choice")
 
 
 def test_missing_t_selector_exit_1(capsys):

@@ -6,7 +6,6 @@ from grmjacobi import (
     COLLINEAR_TRIPLE,
     GENERIC,
     TClass,
-    blocks_of_shell,
     count_blocks_containing,
     design_check_bruteforce,
     design_check_jacobi,
@@ -14,20 +13,6 @@ from grmjacobi import (
 )
 
 from conftest import get_code
-
-
-# ---------------------------------------------------------
-# Block multisets
-# ---------------------------------------------------------
-
-
-def test_blocks_of_shell(code_3_2):
-    blocks = blocks_of_shell(code_3_2, 6)
-    assert len(blocks) == 24
-    assert all(len(b) == 6 for b in blocks.blocks)
-    full = blocks_of_shell(code_3_2, 9)
-    assert len(full) == 2
-    assert all(b == frozenset(range(9)) for b in full.blocks)
 
 
 # ---------------------------------------------------------
@@ -112,6 +97,9 @@ def test_routes_agree_for_quads(p, k, m):
     blk = design_check_bruteforce(code, ell, 4)
     assert jac.lambda_by_class == blk.lambda_by_class
     assert jac.is_t_design == blk.is_t_design
+    # the chunked two-worker routes merge to the same reports
+    assert design_check_jacobi(code, ell, 4, workers=2) == jac
+    assert design_check_bruteforce(code, ell, 4, workers=2) == blk
 
 
 @pytest.mark.parametrize("t", [2, 3, 4])

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from grmjacobi.field import Field, is_prime, least_irreducible, make_field
+from grmjacobi.field import Field, is_prime, least_irreducible
 
 SMALL_PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
@@ -66,7 +66,6 @@ def test_is_prime():
 def test_construction_is_deterministic():
     a, b = Field(3, 2), Field(3, 2)
     assert a == b and a.modulus == b.modulus
-    assert make_field(3, 2) == a
 
 
 # ---------------------------------------------------------

@@ -6,8 +6,6 @@ from grmjacobi import (
     COLLINEAR_TRIPLE,
     GENERIC,
     Codeword,
-    Field,
-    GrmCode,
     TClass,
     class_witness,
     classify_T,
@@ -66,25 +64,12 @@ def test_weights_and_supports(code_3_2):
     )
 
 
-@pytest.mark.parametrize("p,k,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (3, 1, 3)])
-def test_weight_formula_matches_position_scan(p, k, m):
-    code = get_code(p, k, m)
-    for c in code.codewords():
-        assert code.weight(c) == code.weight_by_formula(c)
-
-
 def test_shells(code_3_2):
     assert len(code_3_2.shell(6)) == 24
     assert len(code_3_2.shell(9)) == 2
     assert code_3_2.shell(5) == []
     with pytest.raises(ValueError):
         code_3_2.shell(10)
-
-
-def test_value_table_budget_guard():
-    big = GrmCode(Field(2), 24)
-    with pytest.raises(MemoryError):
-        big.value_table()
 
 
 # ---------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grmjacobi import (
     COLLINEAR_TRIPLE,
@@ -64,20 +65,48 @@ def test_fast_path_equals_full_scan():
 
 def test_brute_force_worker_count_does_not_matter(code_3_2):
     T = ((0, 0), (1, 0), (0, 1))
-    assert jacobi_brute_force(code_3_2, T) == jacobi_brute_force(code_3_2, T, workers=3)
+    for full_scan in (False, True):
+        one = jacobi_brute_force(code_3_2, T, full_scan=full_scan)
+        assert one == jacobi_brute_force(code_3_2, T, full_scan=full_scan, workers=3)
 
 
-def test_brute_force_without_value_table():
-    # size * n above the table budget forces per-word evaluation
+def test_brute_force_large_code():
     from grmjacobi import Field, GrmCode, TClass
 
     code = GrmCode(Field(2), 12)
-    assert code.size * code.n > 10**7
     zero = tuple(0 for _ in range(12))
     e0 = tuple(1 if i == 0 else 0 for i in range(12))
     e1 = tuple(1 if i == 1 else 0 for i in range(12))
     jac = jacobi_brute_force(code, (zero, e0, e1))
     assert jac == jacobi_closed_form(code, TClass(3, 2))
+
+
+SMALL_CODES = [
+    (p, k, m)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for k in range(1, 5)
+    for m in range(1, 5)
+    if (p**k) ** m <= 27
+]
+
+
+@st.composite
+def code_and_points(draw):
+    code = get_code(*draw(st.sampled_from(SMALL_CODES)))
+    indices = draw(st.lists(st.integers(0, code.n - 1), max_size=5, unique=True))
+    pts = code.points()
+    return code, tuple(pts[i] for i in indices)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(code_and_points())
+def test_brute_force_agrees_with_every_route(case):
+    code, T = case
+    brute = jacobi_brute_force(code, T)
+    assert brute == jacobi_brute_force(code, T, full_scan=True)
+    if 2 <= len(T) <= 4:
+        assert brute == jacobi_closed_form(code, classify_T(code, T))
+        assert brute == jacobi_from_a(count_tables(code, T).a, code.q, code.m, len(T))
 
 
 def test_brute_force_input_validation(code_3_2):
