@@ -324,6 +324,21 @@ def _design_check(name: str, t: int):
                     "blocks": {c.label(): v for c, v in via_blocks.lambda_by_class.items()},
                 },
             )
+        if via_jacobi.class_counts != via_blocks.class_counts:
+            return _result(
+                name, code, FAIL, "census disagreement",
+                counterexample={
+                    "jacobi": {c.label(): v for c, v in via_jacobi.class_counts.items()},
+                    "blocks": {c.label(): v for c, v in via_blocks.class_counts.items()},
+                },
+            )
+        if via_jacobi.block_count != via_blocks.block_count:
+            return _result(
+                name, code, FAIL, "block count disagreement",
+                counterexample={
+                    "jacobi": via_jacobi.block_count, "blocks": via_blocks.block_count,
+                },
+            )
         if via_jacobi.is_t_design != via_blocks.is_t_design:
             return _result(name, code, FAIL, "verdict disagreement")
         verdict = "is" if via_jacobi.is_t_design else "is not"

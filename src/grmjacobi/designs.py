@@ -18,15 +18,14 @@ from itertools import combinations
 from .grm import (
     COLLINEAR_TRIPLE,
     GENERIC,
-    Codeword,
     GrmCode,
     PointSet,
     TClass,
     class_witness,
     classify_T,
-    _census_chunk,
+    t_class_census,
 )
-from .jacobi import closed_form_a, jacobi_closed_form
+from .jacobi import closed_form_a, closed_weight_distribution, jacobi_closed_form
 from ._parallel import run_chunks, split
 
 DEFAULT_BUDGET = 5 * 10**7
@@ -70,25 +69,15 @@ class DesignReport:
         }
 
 
-def _require_shell(code: GrmCode, ell: int, t: int) -> list[Codeword]:
+def _require_t(t: int) -> None:
     if t not in (2, 3, 4):
         raise ValueError(f"t must be in {{2, 3, 4}}, got {t}")
-    shell = code.shell(ell)
-    if not shell:
+
+
+def _require_blocks(code: GrmCode, ell: int, count: int) -> int:
+    if not count:
         raise ValueError(f"shell of weight {ell} is empty for {code!r}")
-    return shell
-
-
-def _class_census_counts(code: GrmCode, t: int, workers: int = 1) -> dict[TClass, int]:
-    subsets = combinations(range(code.n), t)
-    if workers <= 1:
-        return _census_chunk(code, subsets)
-    census: dict[TClass, int] = {}
-    chunks = split(list(subsets), workers)
-    for part in run_chunks(partial(_census_chunk, code), chunks, workers):
-        for cls, cnt in part.items():
-            census[cls] = census.get(cls, 0) + cnt
-    return census
+    return count
 
 
 def design_check_jacobi(
@@ -96,12 +85,19 @@ def design_check_jacobi(
 ) -> DesignReport:
     """Design verdict from closed-form Jacobi coefficients.
 
-    Every t-subset of positions is classified (a full census, so no class
-    is missed); the number of weight-ell blocks through a subset is the
-    coefficient of z^t x^(n-ell) y^(ell-t) in its class's polynomial.
+    The class census comes from t_class_census, which classifies only the
+    t-subsets through the zero point and scales by n/t; the number of
+    weight-ell blocks through a subset is the coefficient of
+    z^t x^(n-ell) y^(ell-t) in its class's polynomial, and the block count
+    is read off the closed-form weight distribution.
     """
-    block_count = len(_require_shell(code, ell, t))
-    census = _class_census_counts(code, t, workers=workers)
+    _require_t(t)
+    if not 0 <= ell <= code.n:
+        raise ValueError(f"weight {ell} out of range [0, {code.n}]")
+    block_count = _require_blocks(
+        code, ell, closed_weight_distribution(code.q, code.m).get(ell, 0)
+    )
+    census = t_class_census(code, t, workers=workers)
     lam = {}
     for cls in census:
         if ell < t:
@@ -126,8 +122,9 @@ def design_check_bruteforce(
     which would falsify the class-determines-count property the Jacobi
     route relies on.
     """
-    shell = _require_shell(code, ell, t)
-    block_count = len(shell)
+    _require_t(t)
+    shell = code.shell(ell)
+    block_count = _require_blocks(code, ell, len(shell))
     n_subsets = math.comb(code.n, t)
     if n_subsets * block_count > budget:
         raise ValueError(

@@ -15,9 +15,12 @@ via the normalized dependency u_k = a*u_i + b*u_j between the differences:
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, product
+from math import comb
 from typing import Iterator, NamedTuple, Optional
 
+from ._parallel import run_chunks, split
 from .field import Field
 
 COLLINEAR_TRIPLE = "collinear-triple"
@@ -218,18 +221,42 @@ def _rank2_subcase(field: Field, diffs) -> str:
     raise ValueError("no independent pair among rank-2 differences")
 
 
-def t_class_census(code: GrmCode, t: int, limit: int | None = None) -> dict[TClass, int]:
-    """Classify every t-subset of V; returns class -> count.
+def t_class_census(
+    code: GrmCode, t: int, limit: int | None = None, workers: int = 1
+) -> dict[TClass, int]:
+    """Class -> number of t-subsets of V in that class.
 
-    limit caps the number of subsets (error when exceeded) so callers
-    cannot silently start an infeasible census.
+    Only the C(n-1, t-1) subsets through the zero point (position 0) are
+    classified.  Translation keeps the class, and (S0, v) -> (S0 + v, v)
+    maps {S0 through 0} x V one-to-one onto the pairs (S, u in S), so a
+    class with N0 subsets through 0 has n * N0 / t subsets in all.
+
+    limit caps the number C(n, t) of subsets counted (error when exceeded)
+    so callers cannot silently start an infeasible census.
     """
-    from math import comb
-
-    total = comb(code.n, t)
+    if not 2 <= t <= 4:
+        raise ValueError(f"|T| must be in [2, 4], got {t}")
+    n = code.n
+    total = comb(n, t)
     if limit is not None and total > limit:
         raise ValueError(f"census of {total} subsets exceeds limit {limit}")
-    return _census_chunk(code, combinations(range(code.n), t))
+    through_zero = ((0,) + rest for rest in combinations(range(1, n), t - 1))
+    if workers <= 1:
+        parts = [_census_chunk(code, through_zero)]
+    else:
+        parts = run_chunks(partial(_census_chunk, code), split(list(through_zero), workers), workers)
+    census: dict[TClass, int] = {}
+    for part in parts:
+        for cls, cnt in part.items():
+            census[cls] = census.get(cls, 0) + cnt
+    for cls, cnt in census.items():
+        census[cls], rest = divmod(n * cnt, t)
+        if rest:
+            raise RuntimeError(
+                f"{cnt} {cls.label()} subsets through 0 times n = {n} "
+                f"is not a multiple of t = {t}"
+            )
+    return census
 
 
 def _census_chunk(code: GrmCode, subsets) -> dict[TClass, int]:

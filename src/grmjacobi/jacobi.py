@@ -11,7 +11,6 @@ returns the number of codewords.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from itertools import product
@@ -296,12 +295,14 @@ def count_tables(code: GrmCode, points: PointSet) -> CountTables:
     zero = tuple(0 for _ in range(code.m))
     if pts[0] != zero:
         pts = tuple(sorted(translate_T(f, pts, _neg_point(f, pts[0]))))
-    q = code.q
+    q, dot = code.q, f.dot
     b_by_value = [[0] * q for _ in range(t + 1)]
     for lam in product(range(q), repeat=code.m):
-        hits = Counter(f.dot(lam, u) for u in pts)
-        for j in range(q):
-            b_by_value[hits.get(j, 0)][j] += 1
+        tally = [0] * q
+        for u in pts:
+            tally[dot(lam, u)] += 1
+        for j, hits in enumerate(tally):
+            b_by_value[hits][j] += 1
     b = tuple(sum(row) for row in b_by_value)
     return CountTables(
         t=t,

@@ -2,6 +2,15 @@ import pytest
 
 from grmjacobi import Field, GrmCode
 
+# Every code with q^m <= 27, for the property tests.
+SMALL_CODES = [
+    (p, k, m)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for k in range(1, 5)
+    for m in range(1, 5)
+    if (p**k) ** m <= 27
+]
+
 _CODES: dict[tuple[int, int, int], GrmCode] = {}
 
 

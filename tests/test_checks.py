@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from grmjacobi import checks
 from grmjacobi.checks import CHECKS, run_checks
 
 
@@ -28,7 +31,27 @@ def test_unknown_check_rejected():
 
 
 def test_results_are_worker_count_invariant():
-    only = ["jacobi-triples", "count-tables-triples"]
+    only = ["jacobi-triples", "count-tables-triples", "design-triples"]
     one = run_checks(pairs=((3, 1, 2),), only=only, workers=1)
     two = run_checks(pairs=((3, 1, 2),), only=only, workers=2)
     assert [r.to_json_dict() for r in one] == [r.to_json_dict() for r in two]
+
+
+@pytest.mark.parametrize(
+    "field,detail",
+    [("class_counts", "census disagreement"), ("block_count", "block count disagreement")],
+)
+def test_design_check_fails_when_routes_disagree(monkeypatch, field, detail):
+    honest = checks.design_check_jacobi
+
+    def skewed(code, ell, t, workers=1):
+        report = honest(code, ell, t, workers=workers)
+        if field == "block_count":
+            return replace(report, block_count=report.block_count + 1)
+        cls = next(iter(report.class_counts))
+        return replace(report, class_counts={**report.class_counts, cls: 0})
+
+    monkeypatch.setattr(checks, "design_check_jacobi", skewed)
+    (result,) = run_checks(pairs=((3, 1, 2),), only=["design-triples"])
+    assert (result.status, result.detail) == ("FAIL", detail)
+    assert set(result.counterexample) == {"jacobi", "blocks"}

@@ -140,6 +140,30 @@ def test_bad_t_rejected(code_3_2):
         design_check_jacobi(code_3_2, 6, 5)
 
 
+def _message(check, *args) -> str:
+    with pytest.raises(ValueError) as err:
+        check(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("p,k,m", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 3)])
+def test_block_count_matches_enumerated_shell(p, k, m):
+    # the Jacobi route counts blocks from the closed-form weight
+    # distribution; brute force enumerates the shell and keeps the errors
+    code = get_code(p, k, m)
+    for ell in range(-1, code.n + 2):
+        if 0 <= ell <= code.n and code.shell(ell):
+            assert design_check_jacobi(code, ell, 2).block_count == len(code.shell(ell))
+        else:
+            assert _message(design_check_jacobi, code, ell, 2) == _message(
+                design_check_bruteforce, code, ell, 2
+            )
+    for t in (1, 5):
+        assert _message(design_check_jacobi, code, -1, t) == _message(
+            design_check_bruteforce, code, -1, t
+        )
+
+
 def test_budget_guard(code_3_2):
     with pytest.raises(ValueError):
         design_check_bruteforce(code_3_2, 6, 3, budget=10)

@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grmjacobi import (
     COLLINEAR_TRIPLE,
@@ -13,9 +14,10 @@ from grmjacobi import (
     t_class_census,
     translate_T,
 )
+from grmjacobi.grm import _census_chunk
 from grmjacobi.jacobi import closed_weight_distribution
 
-from conftest import get_code
+from conftest import SMALL_CODES, get_code
 
 
 # ---------------------------------------------------------
@@ -133,6 +135,23 @@ def test_quad_census_q2_m3():
 def test_census_limit_guard(code_3_2):
     with pytest.raises(ValueError):
         t_class_census(code_3_2, 4, limit=10)
+    # the limit caps all C(9, 4) = 126 subsets, not the 56 through zero
+    with pytest.raises(ValueError):
+        t_class_census(code_3_2, 4, limit=125)
+    assert sum(t_class_census(code_3_2, 4, limit=126).values()) == 126
+    with pytest.raises(ValueError):
+        t_class_census(code_3_2, 5)
+
+
+@pytest.mark.parametrize("p,k,m", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 3)])
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_census_equals_full_enumeration(p, k, m, t):
+    # q = 2 includes subsets fixed by a translation (pairs, and the affine
+    # planes among the 4-sets), where the n/t scaling must still hold
+    code = get_code(p, k, m)
+    expected = _census_chunk(code, combinations(range(code.n), t))
+    assert t_class_census(code, t) == expected
+    assert t_class_census(code, t, workers=2) == expected
 
 
 def test_witnesses_match_census_reachability():
@@ -184,3 +203,23 @@ def test_classification_invariant_under_translation(code_3_2):
         expected = classify_T(code_3_2, T)
         for v in points:
             assert classify_T(code_3_2, translate_T(f, T, v)) == expected
+
+
+@st.composite
+def code_points_shift(draw):
+    code = get_code(*draw(st.sampled_from(SMALL_CODES)))
+    pts = code.points()
+    size = draw(st.integers(2, min(4, code.n)))
+    indices = draw(st.lists(st.integers(0, code.n - 1), min_size=size, max_size=size, unique=True))
+    order = draw(st.permutations(range(size)))
+    shift = pts[draw(st.integers(0, code.n - 1))]
+    return code, tuple(pts[i] for i in indices), order, shift
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(code_points_shift())
+def test_class_is_invariant_under_order_and_translation(case):
+    code, T, order, shift = case
+    expected = classify_T(code, T)
+    assert classify_T(code, tuple(T[i] for i in order)) == expected
+    assert classify_T(code, translate_T(code.field, T, shift)) == expected

@@ -23,7 +23,7 @@ from grmjacobi import (
     weight_enumerator,
 )
 
-from conftest import get_code
+from conftest import SMALL_CODES, get_code
 
 
 def subsets(code, t, count=None, seed=11):
@@ -79,15 +79,6 @@ def test_brute_force_large_code():
     e1 = tuple(1 if i == 1 else 0 for i in range(12))
     jac = jacobi_brute_force(code, (zero, e0, e1))
     assert jac == jacobi_closed_form(code, TClass(3, 2))
-
-
-SMALL_CODES = [
-    (p, k, m)
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
-    for k in range(1, 5)
-    for m in range(1, 5)
-    if (p**k) ** m <= 27
-]
 
 
 @st.composite
