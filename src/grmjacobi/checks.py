@@ -105,54 +105,44 @@ def _points_of(code: GrmCode, subset: tuple[int, ...]):
 # -- chunked sweeps -----------------------------------------------------------
 
 
-def _jacobi_sweep_chunk(code: GrmCode, subsets) -> list[dict]:
+def jacobi_mismatch(code: GrmCode, points, cls: TClass) -> dict | None:
+    """Brute-force vs dispatched closed-form polynomial."""
+    if jacobi_brute_force(code, points) != jacobi_closed_form(code, cls):
+        return {}
+    return None
+
+
+def count_mismatch(code: GrmCode, points, cls: TClass) -> dict | None:
+    """Enumerated count tables vs the closed-form a (and, for pairs and
+    triples, b) vectors."""
+    tables = count_tables(code, points)
+    expected_a = closed_form_a(cls, code.q, code.m)
+    if tables.a != expected_a:
+        return {"kind": "a", "got": list(tables.a), "expected": list(expected_a)}
+    if cls.t in (2, 3):
+        expected_b = closed_form_b(cls, code.q, code.m)
+        if tables.b != expected_b:
+            return {"kind": "b", "got": list(tables.b), "expected": list(expected_b)}
+    return None
+
+
+def _sweep_chunk(code: GrmCode, compare, subsets) -> list[dict]:
     mismatches = []
     for sub in subsets:
         points = _points_of(code, sub)
         cls = classify_T(code, points)
-        brute = jacobi_brute_force(code, points)
-        closed = jacobi_closed_form(code, cls)
-        if brute != closed:
-            mismatches.append({"T": list(sub), "class": cls.label()})
+        extra = compare(code, points, cls)
+        if extra is not None:
+            mismatches.append({"T": list(sub), "class": cls.label(), **extra})
     return mismatches
 
 
-def sweep_jacobi_equivalence(code: GrmCode, subsets, workers: int = 1) -> list[dict]:
-    """Brute-force vs dispatched closed form for each subset; returns the
-    (hopefully empty) mismatch list."""
+def sweep(code: GrmCode, subsets, compare, workers: int = 1) -> list[dict]:
+    """Classify each subset and run compare(code, points, cls) on it; returns
+    the (hopefully empty) list of mismatches, each the subset, its class
+    and the extra fields compare returned."""
     chunks = split(subsets, workers)
-    parts = run_chunks(partial(_jacobi_sweep_chunk, code), chunks, workers)
-    return [mismatch for part in parts for mismatch in part]
-
-
-def _count_sweep_chunk(code: GrmCode, subsets) -> list[dict]:
-    q, m = code.q, code.m
-    mismatches = []
-    for sub in subsets:
-        points = _points_of(code, sub)
-        cls = classify_T(code, points)
-        tables = count_tables(code, points)
-        expected_a = closed_form_a(cls, q, m)
-        if tables.a != expected_a:
-            mismatches.append(
-                {"T": list(sub), "class": cls.label(), "kind": "a",
-                 "got": list(tables.a), "expected": list(expected_a)}
-            )
-            continue
-        if cls.t in (2, 3):
-            expected_b = closed_form_b(cls, q, m)
-            if tables.b != expected_b:
-                mismatches.append(
-                    {"T": list(sub), "class": cls.label(), "kind": "b",
-                     "got": list(tables.b), "expected": list(expected_b)}
-                )
-    return mismatches
-
-
-def sweep_count_tables(code: GrmCode, subsets, workers: int = 1) -> list[dict]:
-    """Enumerated count tables vs the closed-form vectors for each subset."""
-    chunks = split(subsets, workers)
-    parts = run_chunks(partial(_count_sweep_chunk, code), chunks, workers)
+    parts = run_chunks(partial(_sweep_chunk, code, compare), chunks, workers)
     return [mismatch for part in parts for mismatch in part]
 
 
@@ -190,41 +180,35 @@ def check_support_scalars(code: GrmCode, workers: int = 1) -> CheckResult:
     return _result("support-scalars", code, PASS, f"{code.size} codewords")
 
 
-def _jacobi_check(name: str, t: int):
+def _census_failure(name: str, code: GrmCode) -> CheckResult | None:
+    """The size-4 class census must reach exactly the witness-backed
+    classes; a census beyond its limit proves nothing either way."""
+    try:
+        census = t_class_census(code, 4, limit=FULL_SWEEP_LIMIT * 2)
+    except ValueError:
+        return None
+    reached = set(census)
+    expected = set(reachable_classes(code, 4))
+    if reached == expected:
+        return None
+    return _result(
+        name, code, FAIL, "class census mismatch",
+        counterexample={
+            "census": sorted(c.label() for c in reached),
+            "witnesses": sorted(c.label() for c in expected),
+        },
+    )
+
+
+def _sweep_check(name: str, t: int, compare, census: bool = False):
     def run(code: GrmCode, workers: int = 1) -> CheckResult:
         if code.n < t:
             return _result(name, code, SKIP, f"code length {code.n} < {t}")
         subsets, mode = subsets_for_sweep(code, t)
-        mismatches = sweep_jacobi_equivalence(code, subsets, workers=workers)
-        if t == 4:
-            # census must reach exactly the witness-backed classes
-            try:
-                census = t_class_census(code, 4, limit=FULL_SWEEP_LIMIT * 2)
-                reached = set(census)
-                expected = set(reachable_classes(code, 4))
-                if reached != expected:
-                    return _result(
-                        name, code, FAIL, "class census mismatch",
-                        counterexample={
-                            "census": sorted(c.label() for c in reached),
-                            "witnesses": sorted(c.label() for c in expected),
-                        },
-                    )
-            except ValueError:
-                pass  # census beyond limit: sweep result still stands
-        if mismatches:
-            return _result(name, code, FAIL, f"{mode} sweep", counterexample=mismatches[0])
-        return _result(name, code, PASS, f"{mode} sweep over {len(subsets)} subsets")
-
-    return run
-
-
-def _count_check(name: str, t: int):
-    def run(code: GrmCode, workers: int = 1) -> CheckResult:
-        if code.n < t:
-            return _result(name, code, SKIP, f"code length {code.n} < {t}")
-        subsets, mode = subsets_for_sweep(code, t)
-        mismatches = sweep_count_tables(code, subsets, workers=workers)
+        mismatches = sweep(code, subsets, compare, workers=workers)
+        failure = _census_failure(name, code) if census else None
+        if failure is not None:
+            return failure
         if mismatches:
             return _result(name, code, FAIL, f"{mode} sweep", counterexample=mismatches[0])
         return _result(name, code, PASS, f"{mode} sweep over {len(subsets)} subsets")
@@ -421,12 +405,12 @@ def check_dual_difference(code: GrmCode, workers: int = 1) -> CheckResult:
 CHECKS: dict[str, object] = {
     "weight-enumerator": check_weight_enumerator,
     "support-scalars": check_support_scalars,
-    "jacobi-pairs": _jacobi_check("jacobi-pairs", 2),
-    "jacobi-triples": _jacobi_check("jacobi-triples", 3),
-    "jacobi-quads": _jacobi_check("jacobi-quads", 4),
-    "count-tables-pairs": _count_check("count-tables-pairs", 2),
-    "count-tables-triples": _count_check("count-tables-triples", 3),
-    "count-tables-quads": _count_check("count-tables-quads", 4),
+    "jacobi-pairs": _sweep_check("jacobi-pairs", 2, jacobi_mismatch),
+    "jacobi-triples": _sweep_check("jacobi-triples", 3, jacobi_mismatch),
+    "jacobi-quads": _sweep_check("jacobi-quads", 4, jacobi_mismatch, census=True),
+    "count-tables-pairs": _sweep_check("count-tables-pairs", 2, count_mismatch),
+    "count-tables-triples": _sweep_check("count-tables-triples", 3, count_mismatch),
+    "count-tables-quads": _sweep_check("count-tables-quads", 4, count_mismatch),
     "count-route": check_count_route,
     "translation-invariance": check_translation_invariance,
     "classify-invariance": check_classify_invariance,

@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
+# CPython's default limit on int <-> decimal string conversion
+MAX_BOUND_DIGITS = 4300
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -70,23 +73,29 @@ def parse_points(text: str, m: int) -> tuple[tuple[int, ...], ...]:
 
 def parse_bound(text: str) -> int:
     """Parse a positive integer bound such as 10000, 1e7 or 2.5e6 exactly,
-    in integer arithmetic only."""
-    match = re.fullmatch(r"(\d+)(?:\.(\d*))?(?:[eE]([+-]?\d+))?", text.strip())
+    in integer arithmetic only.  The digit count is checked before any
+    power of ten is formed, so a huge exponent fails at once."""
+    match = re.fullmatch(r"(\d+)(?:\.(\d*))?(?:[eE]([+-]?)(\d+))?", text.strip())
     if match is None:
         raise ValueError(f"bound must be a positive integer such as 1e7, got {text!r}")
-    whole, frac, exp = match.groups(default="")
-    digits = whole + frac
-    shift = int(exp or 0) - len(frac)
-    if shift >= 0:
-        value = int(digits) * 10**shift
-    else:
-        # a nonzero mantissa of d digits is never a multiple of 10^(d+1)
-        value, rest = divmod(int(digits), 10 ** min(-shift, len(digits) + 1))
-        if rest:
-            raise ValueError(f"bound must be an integer, got {text!r}")
-    if value <= 0:
+    whole, frac, sign, exp = match.groups(default="")
+    digits = (whole + frac).lstrip("0")
+    if not digits:
         raise ValueError(f"bound must be positive, got {text!r}")
-    return value
+    too_long = f"bound must have at most {MAX_BOUND_DIGITS} digits, got {text!r}"
+    not_integer = f"bound must be an integer, got {text!r}"
+    exp = exp.lstrip("0")
+    if len(exp) > MAX_BOUND_DIGITS:
+        # |exponent| >= 10^4300: no mantissa has that many trailing zeros
+        raise ValueError(not_integer if sign == "-" else too_long)
+    # value = int(significant) * 10**shift, with significant ending in 1-9
+    significant = digits.rstrip("0")
+    shift = int(sign + (exp or "0")) - len(frac) + len(digits) - len(significant)
+    if shift < 0:
+        raise ValueError(not_integer)
+    if len(significant) + shift > MAX_BOUND_DIGITS:
+        raise ValueError(too_long)
+    return int(significant) * 10**shift
 
 
 def _poly_json(poly: JacobiPolynomial) -> dict:
@@ -151,16 +160,19 @@ def cmd_jacobi(args) -> int:
     workers = resolve_workers(args.workers)
     items = _jacobi_targets(code, args)
     results = []
+    pretty = []
     mismatch = False
     for points, cls in items:
         entry: dict = {
             "class": cls.label() if cls else None,
             "points": [list(p) for p in points],
         }
+        pretty.append(f"T = {entry['points']}  class = {entry['class']}")
         brute = closed = None
         if args.method in ("brute", "both"):
             brute = jacobi_brute_force(code, points, workers=workers)
             entry["brute"] = _poly_json(brute)
+            pretty.append(f"  brute: {brute.pretty()}")
         if args.method in ("closed", "both"):
             if cls is None:
                 raise ValueError(
@@ -168,6 +180,7 @@ def cmd_jacobi(args) -> int:
                 )
             closed = jacobi_closed_form(code, cls)
             entry["closed"] = _poly_json(closed)
+            pretty.append(f"  closed: {closed.pretty()}")
         if args.method == "both":
             diff = []
             keys = set(brute.terms) | set(closed.terms)
@@ -181,20 +194,10 @@ def cmd_jacobi(args) -> int:
                         }
                     )
             entry["diff"] = diff
+            pretty.append(f"  diff: {'EMPTY' if not diff else diff}")
             mismatch = mismatch or bool(diff)
         results.append(entry)
     out = {"q": code.q, "m": code.m, "n": code.n, "method": args.method, "results": results}
-    pretty = []
-    for entry in results:
-        pretty.append(f"T = {entry['points']}  class = {entry['class']}")
-        for kind in ("brute", "closed"):
-            if kind in entry:
-                poly = JacobiPolynomial.from_records(
-                    entry[kind]["t"], entry[kind]["n"], entry[kind]["terms"]
-                )
-                pretty.append(f"  {kind}: {poly.pretty()}")
-        if "diff" in entry:
-            pretty.append(f"  diff: {'EMPTY' if not entry['diff'] else entry['diff']}")
     _emit(out, pretty, args.output)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 

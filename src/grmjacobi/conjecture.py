@@ -14,17 +14,16 @@ weights are still reported, flagged as out of range: weight q^m is the
 excluded trivial design, and the desk-scale test suite shows the two
 below it can genuinely be 3-designs.
 
-Everything is exact big-integer arithmetic; binomials advance by
-incremental multiply/divide and the long convolutions keep only a sliding
-window, so memory per pair stays O(q^(m-1)).
+Everything is exact big-integer arithmetic.  Every convolution is
+jacobi.binom_conv, which advances its binomials by exact multiply/divide
+and keeps a window of O(q^(m-1)) values; the dual weight enumerator still
+holds all q^m + 1 of a pair's counts, so memory per pair is O(q^m).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
 from .field import Field
 from .grm import GrmCode, TClass, class_witness
@@ -79,35 +78,6 @@ class ScanResult:
         return rec
 
 
-# -- streaming binomial machinery ---------------------------------------------
-
-
-def _scaled_binoms(deg: int, alpha: int) -> list[int]:
-    """[C(deg, i) * alpha^i for i in 0..deg], built incrementally."""
-    out = [1]
-    for i in range(1, deg + 1):
-        out.append(out[-1] * (deg - i + 1) * alpha // i)
-    return out
-
-
-def _conv_stream(a_deg: int, alpha: int, b_deg: int) -> Iterator[int]:
-    """Yield the Y^j coefficient of (X + alpha*Y)^a_deg (X - Y)^b_deg for
-    j = 0, 1, ..., a_deg + b_deg, keeping a window of a_deg + 1 values."""
-    u = _scaled_binoms(a_deg, alpha)
-    window: deque[int] = deque(maxlen=a_deg + 1)
-    vmag = 1
-    for j in range(a_deg + b_deg + 1):
-        if j == 0:
-            vj = 1
-        elif j <= b_deg:
-            vmag = vmag * (b_deg - j + 1) // j
-            vj = -vmag if j % 2 else vmag
-        else:
-            vj = 0
-        window.appendleft(vj)
-        yield sum(u[i] * w for i, w in enumerate(window) if w)
-
-
 def dual_weight_enumerator(q: int, m: int) -> WeightEnumerator:
     """Exact weight enumerator of the dual code, by transforming the
     three-shell primal enumerator and dividing by the code size.
@@ -121,18 +91,17 @@ def dual_weight_enumerator(q: int, m: int) -> WeightEnumerator:
     size = q ** (m + 1)
     mid = size - q
     a_deg = q ** (m - 1)
-    b_deg = (q - 1) * q ** (m - 1)
+    # The zero word, the size - q words of weight (q-1)q^(m-1) and the
+    # q - 1 words of weight n transform to these three products.
+    streams = zip(
+        binom_conv(n, q - 1, 0),
+        binom_conv(a_deg, q - 1, (q - 1) * a_deg),
+        binom_conv(0, q - 1, n),
+    )
     counts: dict[int, int] = {}
-    binom = 1  # C(n, l)
-    power = 1  # (q-1)^l
     total = 0
-    conv = _conv_stream(a_deg, q - 1, b_deg)
-    for ell in range(n + 1):
-        if ell > 0:
-            binom = binom * (n - ell + 1) // ell
-            power *= q - 1
-        sign = -1 if ell % 2 else 1
-        numerator = binom * power + mid * next(conv) + (q - 1) * binom * sign
+    for ell, (zero, middle, const) in enumerate(streams):
+        numerator = zero + mid * middle + (q - 1) * const
         quotient, remainder = divmod(numerator, size)
         if remainder:
             raise RuntimeError(
@@ -187,7 +156,7 @@ def dual_rank_difference_identity(q: int, m: int) -> JacobiPolynomial:
     if m < 2 or a_deg < 0 or b_deg < 0:
         raise ValueError(f"identity undefined at q={q}, m={m}")
     n = q**m
-    conv = binom_conv(a_deg, q - 1, b_deg)
+    conv = list(binom_conv(a_deg, q - 1, b_deg))
     terms: dict[tuple[int, int, int, int], int] = {}
     for k in range(4):
         factor = (q - 1) * math.comb(3, k) * (-1) ** (3 - k)
@@ -262,7 +231,7 @@ def scan_pair(q: int, m: int) -> ScanResult:
     enumerator = dual_weight_enumerator(q, m)
     a_deg = q ** (m - 1) - 3
     b_deg = (q - 1) * q ** (m - 1) - 3
-    conv = _conv_stream(a_deg, q - 1, b_deg)
+    conv = binom_conv(a_deg, q - 1, b_deg)
     shells = []
     counterexample = None
     for ell in range(3, n + 1):

@@ -11,9 +11,11 @@ returns the number of codewords.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from itertools import product
+from typing import Iterator
 
 from .grm import (
     COLLINEAR_TRIPLE,
@@ -93,14 +95,6 @@ class JacobiPolynomial:
             )
         return records
 
-    @classmethod
-    def from_records(cls, t: int, n: int, records) -> "JacobiPolynomial":
-        terms = {}
-        for r in records:
-            key = (int(r["e_w"]), int(r["e_z"]), int(r["e_x"]), int(r["e_y"]))
-            terms[key] = terms.get(key, 0) + int(r["coeff"])
-        return cls(t, n, terms)
-
     def pretty(self) -> str:
         if not self.terms:
             return "0"
@@ -163,16 +157,28 @@ def closed_weight_distribution(q: int, m: int) -> dict[int, int]:
 # -- binomial convolution ------------------------------------------------
 
 
-def binom_conv(a_deg: int, alpha: int, b_deg: int) -> list[int]:
-    """Coefficients of (X + alpha*Y)^a_deg * (X - Y)^b_deg by Y-degree."""
-    u = [math.comb(a_deg, i) * alpha**i for i in range(a_deg + 1)]
-    v = [math.comb(b_deg, j) * (-1) ** j for j in range(b_deg + 1)]
-    out = [0] * (a_deg + b_deg + 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                out[i + j] += ui * vj
-    return out
+def binom_conv(a_deg: int, alpha: int, b_deg: int) -> Iterator[int]:
+    """Yield the Y^j coefficient of (X + alpha*Y)^a_deg (X - Y)^b_deg for
+    j = 0, 1, ..., a_deg + b_deg.
+
+    The shorter factor's coefficients are kept; the longer factor's
+    binomial advances by exact multiply/divide (dropping to 0 past its
+    degree) through a window of min(a_deg, b_deg) + 1 values, so each
+    coefficient is one dot product over that window.
+    """
+    (short_deg, short_scale), (long_deg, long_scale) = sorted(
+        [(a_deg, alpha), (b_deg, -1)], key=lambda factor: factor[0]
+    )
+    u = [1]
+    for i in range(1, short_deg + 1):
+        u.append(u[-1] * ((short_deg - i + 1) * short_scale) // i)
+    window: deque[int] = deque(maxlen=short_deg + 1)
+    v = 1
+    for j in range(a_deg + b_deg + 1):
+        if j:
+            v = v * ((long_deg - j + 1) * long_scale) // j
+        window.appendleft(v)
+        yield sum(u[i] * w for i, w in enumerate(window) if w)
 
 
 # -- brute-force Jacobi ----------------------------------------------------
@@ -453,9 +459,9 @@ def dual_jacobi(jac: JacobiPolynomial, code_size: int, q: int) -> JacobiPolynomi
     wz_cache: dict[tuple[int, int], list[int]] = {}
     for (ew, ez, ex, ey), coeff in jac.terms.items():
         if (ew, ez) not in wz_cache:
-            wz_cache[(ew, ez)] = binom_conv(ew, q - 1, ez)
+            wz_cache[(ew, ez)] = list(binom_conv(ew, q - 1, ez))
         wz = wz_cache[(ew, ez)]
-        xy = binom_conv(ex, q - 1, ey)
+        xy = list(binom_conv(ex, q - 1, ey))
         for zdeg, cz in enumerate(wz):
             if not cz:
                 continue

@@ -34,11 +34,7 @@ from grmjacobi import (
     t_class_census,
     weight_enumerator,
 )
-from grmjacobi.checks import (
-    sample_subsets,
-    sweep_count_tables,
-    sweep_jacobi_equivalence,
-)
+from grmjacobi.checks import count_mismatch, jacobi_mismatch, sample_subsets, sweep
 from grmjacobi.cli import parse_bound
 
 # (p, k, m) for (q, m) in {(2,2), (2,3), (3,2), (3,3), (4,2), (5,2)}
@@ -113,11 +109,11 @@ def build_report(workers: int) -> tuple[dict, dict]:
         entry = {}
         for t in (2, 3):
             subs = list(combinations(range(code.n), t))
-            mism = sweep_jacobi_equivalence(code, subs, workers=workers)
+            mism = sweep(code, subs, jacobi_mismatch, workers=workers)
             entry[f"t{t}"] = {"mode": "full", "checked": len(subs), "mismatches": mism}
         if code.n >= 4:
             subs, mode = quad_subsets(code)
-            mism = sweep_jacobi_equivalence(code, subs, workers=workers)
+            mism = sweep(code, subs, jacobi_mismatch, workers=workers)
             census = t_class_census(code, 4)
             sampled_classes = sorted(
                 {
@@ -146,14 +142,14 @@ def build_report(workers: int) -> tuple[dict, dict]:
             subs = list(combinations(range(code.n), t))
             entry[f"t{t}"] = {
                 "checked": len(subs),
-                "mismatches": sweep_count_tables(code, subs, workers=workers),
+                "mismatches": sweep(code, subs, count_mismatch, workers=workers),
             }
         if code.n >= 4:
             subs, mode = quad_subsets(code)
             entry["t4"] = {
                 "mode": mode,
                 "checked": len(subs),
-                "mismatches": sweep_count_tables(code, subs, workers=workers),
+                "mismatches": sweep(code, subs, count_mismatch, workers=workers),
             }
         c3[pair_key(code)] = entry
     report["criterion_3"] = c3

@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -48,7 +49,13 @@ def test_parse_bound():
     assert parse_bound("2.5e6") == 2_500_000
     assert parse_bound("9007199254740993") == 9007199254740993  # 2^53 + 1
     assert parse_bound("1e400") == 10**400
-    for bad in ("-3", "inf", "nan", "abc", "1.5", "1e-3", "0", ""):
+    assert parse_bound("1e4299") == 10**4299  # 4300 digits, the most allowed
+    # mantissa or exponent strings longer than CPython's int/str limit
+    assert parse_bound("1" + "0" * 5000 + "e-4990") == 10**10
+    assert parse_bound("1e+" + "0" * 5000 + "3") == 1000
+    for bad in ("-3", "inf", "nan", "abc", "1.5", "1e-3", "0", "", "0e99999999",
+                "1e4300", "1e99999999", "1" + "0" * 5000, "1" + "0" * 5000 + "1e-1",
+                "1e" + "9" * 5000, "1e-" + "9" * 5000):
         with pytest.raises(ValueError):
             parse_bound(bad)
 
@@ -252,9 +259,11 @@ def test_scan_deterministic_across_workers(capsys):
 
 
 def test_scan_bad_bound_exit_1(capsys):
-    for bound in ("12", "inf"):
+    for bound in ("12", "inf", "1e99999999"):
+        start = time.monotonic()
         code, _, err = run_cli(capsys, ["scan", "--bound", bound])
-        assert code == 1 and err.startswith("error: ")
+        assert time.monotonic() - start < 1.0
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------

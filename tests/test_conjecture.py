@@ -183,6 +183,17 @@ def test_scan_pair_q3_m2_confirmed():
     assert out == [(7, True, 0), (8, True, 0), (9, True, 0)]
 
 
+@pytest.mark.parametrize(
+    "q,m", [(q, m) for q, m in scan_pairs(10**5) if m >= 2]
+)
+def test_scan_coefficients_equal_direct_sum(q, m):
+    res = scan_pair(q, m)
+    in_range = [s for s in res.checked_shells if s.in_range]
+    assert [s.ell for s in in_range] == list(range(3, q**m - 2))
+    for s in in_range:
+        assert s.diff_coeff == dual_diff_coefficient(q, m, s.ell)
+
+
 def test_scan_pair_m1_is_skipped():
     res = scan_pair(5, 1)
     assert res.verdict == SKIPPED
