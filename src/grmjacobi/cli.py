@@ -26,6 +26,7 @@ from .grm import (
 )
 from .jacobi import JacobiPolynomial, jacobi_brute_force, jacobi_closed_form
 from .designs import (
+    DEFAULT_BUDGET,
     design_check_bruteforce,
     design_check_jacobi,
     generalized_design_params,
@@ -170,6 +171,11 @@ def cmd_jacobi(args) -> int:
         pretty.append(f"T = {entry['points']}  class = {entry['class']}")
         brute = closed = None
         if args.method in ("brute", "both"):
+            if len(points) * code.n > DEFAULT_BUDGET:
+                raise ValueError(
+                    f"brute force over {code.n} functionals x {len(points)} points "
+                    f"exceeds budget {DEFAULT_BUDGET}"
+                )
             brute = jacobi_brute_force(code, points, workers=workers)
             entry["brute"] = _poly_json(brute)
             pretty.append(f"  brute: {brute.pretty()}")
@@ -299,6 +305,10 @@ def cmd_scan(args) -> int:
 
 def cmd_enum(args) -> int:
     code = _make_code(args)
+    if code.size * code.n > DEFAULT_BUDGET:
+        raise ValueError(
+            f"{code.size} codewords x {code.n} positions exceeds budget {DEFAULT_BUDGET}"
+        )
     dist = code.weight_distribution()
     out = {
         "q": code.q,

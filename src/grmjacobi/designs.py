@@ -74,6 +74,11 @@ def _require_t(t: int) -> None:
         raise ValueError(f"t must be in {{2, 3, 4}}, got {t}")
 
 
+def _require_weight(code: GrmCode, ell: int) -> None:
+    if not 0 <= ell <= code.n:
+        raise ValueError(f"weight {ell} out of range [0, {code.n}]")
+
+
 def _require_blocks(code: GrmCode, ell: int, count: int) -> int:
     if not count:
         raise ValueError(f"shell of weight {ell} is empty for {code!r}")
@@ -92,8 +97,7 @@ def design_check_jacobi(
     is read off the closed-form weight distribution.
     """
     _require_t(t)
-    if not 0 <= ell <= code.n:
-        raise ValueError(f"weight {ell} out of range [0, {code.n}]")
+    _require_weight(code, ell)
     block_count = _require_blocks(
         code, ell, closed_weight_distribution(code.q, code.m).get(ell, 0)
     )
@@ -118,21 +122,30 @@ def design_check_bruteforce(
     """Design verdict by direct block counting over every t-subset.
 
     Refuses (rather than truncates) when |subsets| * |blocks| exceeds the
-    budget.  Raises if two subsets of the same class see different counts,
-    which would falsify the class-determines-count property the Jacobi
-    route relies on.
+    budget; a nonempty shell has at least one block, so |subsets| alone
+    over the budget refuses before the shell is enumerated.  Raises if two
+    subsets of the same class see different counts, which would falsify
+    the class-determines-count property the Jacobi route relies on.
     """
     _require_t(t)
+    _require_weight(code, ell)
+    n_subsets = math.comb(code.n, t)
+    if n_subsets > budget:
+        raise ValueError(f"{n_subsets} subsets exceed budget {budget}")
     shell = code.shell(ell)
     block_count = _require_blocks(code, ell, len(shell))
-    n_subsets = math.comb(code.n, t)
     if n_subsets * block_count > budget:
         raise ValueError(
             f"{n_subsets} subsets x {block_count} blocks exceeds budget {budget}"
         )
-    blocks = [code.support(c) for c in shell]
+    # bit j of masks[i] is set when block j contains position i
+    masks = [0] * code.n
+    for j, c in enumerate(shell):
+        for i, value in enumerate(code.value_row(c)):
+            if value:
+                masks[i] |= 1 << j
     subsets = list(combinations(range(code.n), t))
-    chunk = partial(_count_chunk, code, blocks)
+    chunk = partial(_count_chunk, code, masks)
     lam: dict[TClass, int] = {}
     census: dict[TClass, int] = {}
     for part_lam, part_census in run_chunks(chunk, split(subsets, workers), workers):
@@ -150,14 +163,18 @@ def design_check_bruteforce(
     return _finish_report(code, ell, t, "bruteforce", lam, census, block_count)
 
 
-def _count_chunk(code: GrmCode, blocks: list[frozenset[int]], subsets):
+def _count_chunk(code: GrmCode, masks: list[int], subsets):
+    """Per class, the set of block counts seen, and the class sizes; the
+    blocks containing a subset are the set bits of its masks' AND."""
     points = code.points()
     lam: dict[TClass, set[int]] = {}
     census: dict[TClass, int] = {}
     for sub in subsets:
-        count = sum(1 for block in blocks if all(i in block for i in sub))
+        common = masks[sub[0]]
+        for i in sub[1:]:
+            common &= masks[i]
         cls = classify_T(code, tuple(points[i] for i in sub))
-        lam.setdefault(cls, set()).add(count)
+        lam.setdefault(cls, set()).add(common.bit_count())
         census[cls] = census.get(cls, 0) + 1
     return lam, census
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 from operator import mul
 
-# Fields up to this order get full add/mul lookup tables.
+# Fields up to this order get full add/sub/mul lookup tables.
 _TABLE_LIMIT = 256
 
 
@@ -67,20 +67,44 @@ def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
     return a
 
 
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
+def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    result = [1]
+    while e:
+        if e & 1:
+            result = _poly_mod(_poly_mul(result, a, p), mod, p)
+        a = _poly_mod(_poly_mul(a, a, p), mod, p)
+        e >>= 1
+    return result
+
+
 def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(poly)/2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            if not _poly_mod(poly, divisor, p):
-                return False
+    """Ben-Or's test: a monic poly of degree k is irreducible exactly when
+    gcd(x^(p^i) - x mod poly, poly) = 1 for every i <= k/2."""
+    h = [0, 1]
+    for _ in range(1, (len(poly) - 1) // 2 + 1):
+        h = _poly_powmod(h, p, poly, p)
+        d = h + [0] * (2 - len(h))
+        d[1] = (d[1] - 1) % p
+        if len(_poly_gcd(poly, d, p)) > 1:
+            return False
     return True
 
 
 def least_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree k over GF(p)."""
-    for tail in product(range(p), repeat=k):
+    if k == 1:
+        return (0, 1)
+    # x divides every candidate with c_0 = 0, so the search starts at c_0 = 1
+    for tail in product(range(1, p), *[range(p)] * (k - 1)):
         poly = list(tail) + [1]
         if _is_irreducible(poly, p):
             return tuple(poly)
@@ -110,7 +134,9 @@ class Field:
         # Monic linear placeholder for prime fields; never used there.
         self.modulus = (0, 1) if k == 1 else least_irreducible(p, k)
         self._add_table: list[int] | None = None
+        self._sub_table: list[int] | None = None
         self._mul_table: list[int] | None = None
+        self._neg_table: list[int] | None = None
         self._inv_table: list[int] | None = None
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
@@ -139,12 +165,14 @@ class Field:
         return self._add_raw(a, b)
 
     def sub(self, a: int, b: int) -> int:
+        if self._sub_table is not None:
+            return self._sub_table[a * self.q + b]
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self.from_digits((-c) % self.p for c in self.digits(a))
+        if self._neg_table is not None:
+            return self._neg_table[a]
+        return self._neg_raw(a)
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
@@ -183,6 +211,37 @@ class Field:
             acc = self.add(acc, self.mul(a, b))
         return acc
 
+    def scale(self, c: int, v) -> list[int]:
+        """The vector c * v."""
+        if self.k == 1:
+            p = self.p
+            return [c * x % p for x in v]
+        if self._mul_table is not None:
+            times, base = self._mul_table, c * self.q
+            return [times[base + x] for x in v]
+        return [self.mul(c, x) for x in v]
+
+    def sub_scaled(self, u, c: int, v) -> list[int]:
+        """The vector u - c * v, the row operation of Gaussian elimination."""
+        if self.k == 1:
+            p = self.p
+            return [(a - c * b) % p for a, b in zip(u, v)]
+        if self._sub_table is not None:
+            sub, times, q = self._sub_table, self._mul_table, self.q
+            base = c * q
+            return [sub[a * q + times[base + b]] for a, b in zip(u, v)]
+        return [self.sub(a, self.mul(c, b)) for a, b in zip(u, v)]
+
+    def outer_sum(self, u, v) -> list[int]:
+        """Every sum a + b for a in u and b in v, with b varying fastest."""
+        if self.k == 1:
+            p = self.p
+            return [(a + b) % p for a in u for b in v]
+        if self._add_table is not None:
+            add, q = self._add_table, self.q
+            return [add[a * q + b] for a in u for b in v]
+        return [self.add(a, b) for a in u for b in v]
+
     def elements(self) -> range:
         """All q elements in index order; element 0 comes first."""
         return range(self.q)
@@ -195,6 +254,11 @@ class Field:
         da, db = self.digits(a), self.digits(b)
         return self.from_digits((x + y) % self.p for x, y in zip(da, db))
 
+    def _neg_raw(self, a: int) -> int:
+        if self.k == 1:
+            return (-a) % self.p
+        return self.from_digits((-c) % self.p for c in self.digits(a))
+
     def _mul_raw(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
@@ -206,8 +270,10 @@ class Field:
 
     def _build_tables(self) -> None:
         q = self.q
-        self._add_table = [self._add_raw(a, b) for a in range(q) for b in range(q)]
+        self._add_table = add = [self._add_raw(a, b) for a in range(q) for b in range(q)]
         self._mul_table = [self._mul_raw(a, b) for a in range(q) for b in range(q)]
+        self._neg_table = neg = [self._neg_raw(a) for a in range(q)]
+        self._sub_table = [add[a * q + neg[b]] for a in range(q) for b in range(q)]
         inv = [0] * q
         for a in range(1, q):
             # a^(q-2); exercised against mul in the test suite

@@ -7,10 +7,12 @@ x -> lam(x) + b.  Codewords are kept as (lam, b) pairs and evaluated on
 demand, so memory stays O(m) per word.
 
 A position set T (a tuple of points) is classified by its affine rank: the
-rank of the difference vectors u_i - u_0 taken from the first point of T in
-V-order.  Four-point sets of rank 2 additionally split into two sub-cases
-via the normalized dependency u_k = a*u_i + b*u_j between the differences:
-"collinear-triple" when a + b = 1 or ab = 0, "generic" otherwise.
+rank of the difference vectors d_i = u_i - u_0 taken from the first point
+of T in V-order.  Four-point sets of rank 2 additionally split into two
+sub-cases via the dependency c_1 d_1 + c_2 d_2 + c_3 d_3 = 0 that the same
+elimination yields: "collinear-triple" when some c_i = 0 or
+c_1 + c_2 + c_3 = 0 (three of the points lie on a line), "generic"
+otherwise.
 """
 
 from __future__ import annotations
@@ -46,7 +48,12 @@ class TClass(NamedTuple):
 
 
 class GrmCode:
-    """RM_q(1, m): length q^m, q^(m+1) codewords, all structure lazy."""
+    """RM_q(1, m): length q^m, q^(m+1) codewords, all structure lazy.
+
+    functional_values(u) is the column of lam(u) over all q^m functionals;
+    the brute-force and count-table routes read one such column per point
+    of T, so they hold O(t * q^m) values.
+    """
 
     def __init__(self, field: Field, m: int):
         if m < 1:
@@ -74,7 +81,7 @@ class GrmCode:
         return self._point_index[point]
 
     def contains_point(self, point) -> bool:
-        return len(point) == self.m and all(0 <= c < self.q for c in point)
+        return len(point) == self.m and min(point) >= 0 and max(point) < self.q
 
     # -- codewords -------------------------------------------------------
 
@@ -83,6 +90,15 @@ class GrmCode:
         for lam in product(range(self.q), repeat=self.m):
             for b in range(self.q):
                 yield Codeword(lam, b)
+
+    def functional_values(self, u: Point) -> list[int]:
+        """lam(u) for all q^m functionals lam, in codewords() order of lam,
+        built by m outer additions of the multiples of u's coordinates."""
+        f = self.field
+        values = [0]
+        for c in u:
+            values = f.outer_sum(values, f.scale(c, f.elements()))
+        return values
 
     def evaluate(self, c: Codeword, point: Point) -> int:
         f = self.field
@@ -127,66 +143,21 @@ def _neg_point(field: Field, p: Point) -> Point:
     return tuple(field.neg(a) for a in p)
 
 
-def matrix_rank(field: Field, rows: list[list[int]]) -> int:
-    """Rank over GF(q) by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [
-                    field.sub(x, field.mul(factor, y))
-                    for x, y in zip(rows[r], rows[rank])
-                ]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _solve_pair(field: Field, di, dj, dk) -> tuple[int, int]:
-    """Solve dk = a*di + b*dj for (a, b), given that {di, dj} is
-    linearly independent and dk lies in its span."""
-    rows = [[di[c], dj[c], dk[c]] for c in range(len(di))]
-    # eliminate on the 2-column system
-    pivots = []
-    r = 0
-    for col in range(2):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][col])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    if pivots != [0, 1]:
-        raise ValueError("difference pair is not linearly independent")
-    return rows[0][2], rows[1][2]
+_UNIT_TAGS = ([1, 0, 0], [0, 1, 0], [0, 0, 1])
 
 
 def classify_T(code: GrmCode, points: PointSet) -> TClass:
     """Classify a set of 2..4 distinct points by size, affine rank and,
     for four points of rank 2, the dependency sub-case.
 
-    The base point is the first point of T in V-order; invariance under
-    base choice, point order, and translation is a tested property, not an
-    assumption.
+    One Gaussian elimination runs on the differences d_i = u_i - u_0 from
+    the first point u_0 of T in V-order, each row augmented with its unit
+    tag e_i.  The rank is the number of pivots, and a row that eliminates
+    to zero on V carries in its tag a dependency sum c_i d_i = 0.  A rank-2
+    quad has exactly one such row: it is "collinear-triple" when some c_i
+    is 0 (u_0, u_j, u_k on a line) or c_1 + c_2 + c_3 = 0 (u_1, u_2, u_3 on
+    a line), and "generic" otherwise.  Invariance under base choice, point
+    order and translation is a tested property, not an assumption.
     """
     t = len(points)
     if not 2 <= t <= 4:
@@ -196,29 +167,32 @@ def classify_T(code: GrmCode, points: PointSet) -> TClass:
     for p in points:
         if not code.contains_point(p):
             raise ValueError(f"point {p} does not lie in V")
-    f = code.field
+    f, m = code.field, code.m
     pts = sorted(points)
     base = pts[0]
-    neg_base = _neg_point(f, base)
-    diffs = [
-        [f.add(a, b) for a, b in zip(p, neg_base)] for p in pts[1:]
-    ]
-    rank = matrix_rank(f, diffs)
+    k = t - 1
+    rows = [f.sub_scaled(p, 1, base) + tag[:k] for p, tag in zip(pts[1:], _UNIT_TAGS)]
+    rank = 0
+    for col in range(m):
+        for pivot in range(rank, k):
+            if rows[pivot][col]:
+                break
+        else:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = f.scale(f.inv(rows[rank][col]), rows[rank])
+        for r in range(rank + 1, k):
+            if rows[r][col]:
+                rows[r] = f.sub_scaled(rows[r], rows[r][col], lead)
+        rank += 1
+        if rank == k:
+            break
     subcase = None
     if t == 4 and rank == 2:
-        subcase = _rank2_subcase(f, diffs)
+        c = rows[2][m:]
+        collinear = 0 in c or f.add(f.add(c[0], c[1]), c[2]) == 0
+        subcase = COLLINEAR_TRIPLE if collinear else GENERIC
     return TClass(t, rank, subcase)
-
-
-def _rank2_subcase(field: Field, diffs) -> str:
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if matrix_rank(field, [diffs[i], diffs[j]]) == 2:
-            k = 3 - i - j
-            a, b = _solve_pair(field, diffs[i], diffs[j], diffs[k])
-            if field.add(a, b) == 1 or field.mul(a, b) == 0:
-                return COLLINEAR_TRIPLE
-            return GENERIC
-    raise ValueError("no independent pair among rank-2 differences")
 
 
 def t_class_census(
@@ -295,10 +269,10 @@ def class_witness(code: GrmCode, tclass: TClass) -> PointSet | None:
     elif t == 4 and rank == 3 and m >= 3:
         candidate = (zero, e(0), e(1), e(2))
     elif t == 4 and rank == 2 and sub == COLLINEAR_TRIPLE and q >= 3:
-        # third difference = 2 * first: ab = 0 dependency
+        # third difference = 2 * first: dependency (2, 0, -1) has a zero
         candidate = (zero, e(0), e(1), scale(2, e(0)))
     elif t == 4 and rank == 2 and sub == GENERIC:
-        # dependency coefficients (1, 1): 1+1 != 1 and 1*1 != 0 in any field
+        # dependency (1, 1, -1): no zero, and its sum is 1 in any field
         candidate = (zero, e(0), e(1), tuple(code.field.add(a, b) for a, b in zip(e(0), e(1))))
     elif t == 4 and rank == 1 and q >= 4:
         candidate = (zero, e(0), scale(2, e(0)), scale(3, e(0)))

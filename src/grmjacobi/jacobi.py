@@ -11,10 +11,10 @@ returns the number of codewords.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
 from .grm import (
@@ -184,38 +184,51 @@ def binom_conv(a_deg: int, alpha: int, b_deg: int) -> Iterator[int]:
 # -- brute-force Jacobi ----------------------------------------------------
 
 
-def _brute_chunk(code: GrmCode, points: PointSet, full_scan: bool, lams) -> dict[ExpKey, int]:
-    """Term counts of the codewords (lam, b) for every lam in lams and every b."""
+def _brute_chunk(code: GrmCode, points: PointSet, full_scan: bool, lams: range) -> dict[ExpKey, int]:
+    """Term counts of the codewords (lam, b) for every b and every
+    functional lam whose index in codewords() order lies in lams.
+
+    By default lam's values on T come from the points' functional-value
+    columns, and each distinct value tuple is tallied once with its
+    multiplicity.  full_scan evaluates every codeword at every position.
+    """
     t, n, q = len(points), code.n, code.q
-    dot = code.field.dot
-    positions = [code.point_index(pt) for pt in points] if full_scan else None
     # A nonzero functional takes every value q^(m-1) times, so the weight
     # of (lam, b) does not depend on b; for lam = 0 only b = 0 has weight 0.
-    mid_weights = [(q - 1) * q ** (code.m - 1)] * q
-    zero_weights = [0] + [n] * (q - 1)
+    mid_weight = (q - 1) * q ** (code.m - 1)
     counts: dict[tuple[int, int], int] = {}  # (zeros on T, weight) -> codewords
-    for lam in lams:
-        if full_scan:
+    if full_scan:
+        positions = [code.point_index(pt) for pt in points]
+        for lam in islice(product(range(q), repeat=code.m), lams.start, lams.stop):
             rows = [code.value_row(Codeword(lam, b)) for b in range(q)]
-            pairs = [
-                (sum(1 for i in positions if not row[i]), sum(1 for v in row if v))
-                for row in rows
-            ]
-        else:
+            for row in rows:
+                pair = (sum(1 for i in positions if not row[i]), sum(1 for v in row if v))
+                counts[pair] = counts.get(pair, 0) + 1
+    else:
+        columns = [code.functional_values(u)[lams.start : lams.stop] for u in points]
+        value_tuples = Counter(zip(*columns) if columns else [()] * len(lams))
+        for values, mult in value_tuples.items():
             # (lam, b) vanishes at u exactly when lam(u) = -b, so as b runs
-            # over GF(q) its zeros on T run over the tally of lam's values,
-            # with b = 0 at value 0.
+            # over GF(q) its zeros on T run over the tally of lam's values.
             tally = [0] * q
-            for u in points:
-                tally[dot(lam, u)] += 1
-            pairs = zip(tally, mid_weights if any(lam) else zero_weights)
-        for pair in pairs:
-            counts[pair] = counts.get(pair, 0) + 1
+            for v in values:
+                tally[v] += 1
+            for zeros in tally:
+                pair = (zeros, mid_weight)
+                counts[pair] = counts.get(pair, 0) + mult
+        if lams.start == 0 and lams:
+            # the zero functional was counted above with mid_weight: its
+            # values are all 0, so b = 0 has t zeros on T and b != 0 none
+            counts[(t, mid_weight)] -= 1
+            counts[(0, mid_weight)] -= q - 1
+            counts[(t, 0)] = 1
+            counts[(0, n)] = q - 1
     terms: dict[ExpKey, int] = {}
     for (zeros, wt), c in counts.items():
-        m1 = t - zeros  # nonzero positions on T
-        n1 = wt - m1  # nonzero positions outside T
-        terms[(zeros, m1, (n - t) - n1, n1)] = c
+        if c:
+            m1 = t - zeros  # nonzero positions on T
+            n1 = wt - m1  # nonzero positions outside T
+            terms[(zeros, m1, (n - t) - n1, n1)] = c
     return terms
 
 
@@ -227,14 +240,14 @@ def jacobi_brute_force(
 ) -> JacobiPolynomial:
     """Jacobi polynomial by iterating over every codeword.
 
-    By default each functional lam is evaluated on T once, and the
-    restricted weights of all q codewords (lam, b) are read off the tally
-    of its values; the count of nonzero positions outside T comes from the
-    structural weight.  full_scan=True instead evaluates every codeword at
-    all q^m positions and serves as the independent oracle for both
-    shortcuts.  With several workers the functionals are split into
-    chunks whose counts are summed, so results do not depend on the
-    worker count.
+    By default each point of T contributes its column of functional values
+    (O(t * q^m) memory in all), and the restricted weights of all q
+    codewords (lam, b) are read off the tally of lam's values on T; the
+    count of nonzero positions outside T comes from the structural weight.
+    full_scan=True instead evaluates every codeword at all q^m positions
+    and serves as the independent oracle for both shortcuts.  With several
+    workers the functional indices range(q^m) are split into chunks whose
+    counts are summed, so results do not depend on the worker count.
     """
     t = len(points)
     if len(set(points)) != t:
@@ -243,11 +256,11 @@ def jacobi_brute_force(
         if not code.contains_point(pt):
             raise ValueError(f"point {pt} does not lie in V")
     chunk = partial(_brute_chunk, code, tuple(points), full_scan)
-    lams = product(range(code.q), repeat=code.m)
+    lams = range(code.q**code.m)
     if workers <= 1:
         parts = [chunk(lams)]
     else:
-        parts = run_chunks(chunk, split(list(lams), workers), workers)
+        parts = run_chunks(chunk, split(lams, workers), workers)
     terms: dict[ExpKey, int] = {}
     for part in parts:
         for key, c in part.items():
@@ -301,14 +314,15 @@ def count_tables(code: GrmCode, points: PointSet) -> CountTables:
     zero = tuple(0 for _ in range(code.m))
     if pts[0] != zero:
         pts = tuple(sorted(translate_T(f, pts, _neg_point(f, pts[0]))))
-    q, dot = code.q, f.dot
+    q = code.q
     b_by_value = [[0] * q for _ in range(t + 1)]
-    for lam in product(range(q), repeat=code.m):
+    columns = [code.functional_values(u) for u in pts]
+    for values, mult in Counter(zip(*columns)).items():
         tally = [0] * q
-        for u in pts:
-            tally[dot(lam, u)] += 1
+        for v in values:
+            tally[v] += 1
         for j, hits in enumerate(tally):
-            b_by_value[hits][j] += 1
+            b_by_value[hits][j] += mult
     b = tuple(sum(row) for row in b_by_value)
     return CountTables(
         t=t,

@@ -286,6 +286,22 @@ def test_enum_distribution_and_shell(capsys, schema):
     assert len(payload["shell"]["codewords"]) == 24
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--p", "7", "--m", "9"],
+        ["design", "--p", "7", "--m", "6", "--l", "100842", "--t", "2", "--method", "brute"],
+        ["jacobi", "--p", "2", "--k", "40", "--m", "1", "--t-size", "2"],
+    ],
+)
+def test_work_beyond_budget_exit_1(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, argv)
+    assert time.monotonic() - start < 2.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+
+
 # ---------------------------------------------------------
 # usage errors and determinism
 # ---------------------------------------------------------

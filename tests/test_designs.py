@@ -5,6 +5,8 @@ import pytest
 from grmjacobi import (
     COLLINEAR_TRIPLE,
     GENERIC,
+    Field,
+    GrmCode,
     TClass,
     count_blocks_containing,
     design_check_bruteforce,
@@ -167,6 +169,13 @@ def test_block_count_matches_enumerated_shell(p, k, m):
 def test_budget_guard(code_3_2):
     with pytest.raises(ValueError):
         design_check_bruteforce(code_3_2, 6, 3, budget=10)
+
+
+def test_budget_refuses_before_enumerating_the_shell(monkeypatch):
+    code = GrmCode(Field(3), 2)  # a private instance: its shell is patched
+    monkeypatch.setattr(code, "shell", lambda ell: pytest.fail("shell enumerated"))
+    with pytest.raises(ValueError, match="^36 subsets exceed budget 35$"):
+        design_check_bruteforce(code, 6, 2, budget=35)
 
 
 # ---------------------------------------------------------

@@ -1,8 +1,9 @@
+import time
 from itertools import product
 
 import pytest
 
-from grmjacobi.field import Field, is_prime, least_irreducible
+from grmjacobi.field import Field, _is_irreducible, _poly_mod, is_prime, least_irreducible
 
 SMALL_PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
@@ -39,6 +40,48 @@ def test_f8_modulus_matches_root_free_oracle():
         if all((x**3 + c2 * x * x + c1 * x + c0) % 2 != 0 for x in range(2)):
             candidates.append((c0, c1, c2, 1))
     assert Field(2, 3).modulus == candidates[0]
+
+
+def _irreducible_by_trial_division(poly, p):
+    """Oracle: no monic divisor of degree 1..deg/2."""
+    deg = len(poly) - 1
+    for d in range(1, deg // 2 + 1):
+        for tail in product(range(p), repeat=d):
+            if not _poly_mod(poly, list(tail) + [1], p):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_ben_or_test_equals_trial_division(p, k):
+    for tail in product(range(p), repeat=k):
+        poly = list(tail) + [1]
+        assert _is_irreducible(poly, p) == _irreducible_by_trial_division(poly, p), poly
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    [(2, k) for k in range(2, 9)] + [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)],
+)
+def test_least_irreducible_equals_trial_division_search(p, k):
+    # lex-least over every monic tail, c_0 = 0 included
+    expected = next(
+        tuple(tail) + (1,)
+        for tail in product(range(p), repeat=k)
+        if _irreducible_by_trial_division(list(tail) + [1], p)
+    )
+    assert least_irreducible(p, k) == expected
+
+
+@pytest.mark.parametrize("p,k", [(2, 40), (101, 6)])
+def test_large_extension_fields_build_fast(p, k):
+    start = time.perf_counter()
+    f = Field(p, k)
+    assert time.perf_counter() - start < 2
+    assert f.modulus[0] != 0 and f.modulus[-1] == 1 and len(f.modulus) == k + 1
+    # a reducible modulus would leave zero divisors without inverses
+    for a in (2, 3, f.q // 3, f.q - 1):
+        assert f.mul(a, f.inv(a)) == 1
 
 
 def test_modulus_is_irreducible_for_all_small_fields():
@@ -160,14 +203,42 @@ def test_frobenius(p, k):
             assert lhs == rhs
 
 
+def _check_row_kernels(f, ref, shifts):
+    """f's vector kernels against ref's element-wise arithmetic, for every
+    scalar c; v runs over the given rotations of the elements, so all
+    shifts cover every entry pair u[i], v[i]."""
+    els = list(f.elements())
+    for c in els:
+        assert f.scale(c, els) == [ref.mul(c, x) for x in els]
+        for shift in shifts:
+            v = els[shift:] + els[:shift]
+            assert f.sub_scaled(els, c, v) == [ref.sub(a, ref.mul(c, b)) for a, b in zip(els, v)]
+    assert f.outer_sum(els, els[::-1]) == [ref.add(a, b) for a in els for b in els[::-1]]
+
+
 def test_untabled_field_matches_tabled_one():
     # same arithmetic with and without lookup tables
-    f = Field(3, 2)
-    raw = Field(3, 2)
-    raw._add_table = raw._mul_table = raw._inv_table = None
+    for p, k in SMALL_PRIME_POWERS:
+        f, raw = Field(p, k), Field(p, k)
+        raw._add_table = raw._sub_table = raw._mul_table = None
+        raw._neg_table = raw._inv_table = None
+        for a in f.elements():
+            assert f.neg(a) == raw.neg(a) == raw._neg_raw(a)
+            for b in f.elements():
+                assert f.add(a, b) == raw._add_raw(a, b)
+                assert f.mul(a, b) == raw._mul_raw(a, b)
+                assert f.sub(a, b) == raw.sub(a, b)
+        for a in range(1, f.q):
+            assert f.inv(a) == raw.pow(a, f.q - 2)
+        _check_row_kernels(f, raw, range(f.q))
+        _check_row_kernels(raw, raw, range(f.q))
+
+
+def test_untabled_field_kernels():
+    f = Field(257)
+    assert f._add_table is None and f._sub_table is None and f._neg_table is None
     for a in f.elements():
+        assert f.add(a, f.neg(a)) == 0
         for b in f.elements():
-            assert f.add(a, b) == raw._add_raw(a, b)
-            assert f.mul(a, b) == raw._mul_raw(a, b)
-    for a in range(1, f.q):
-        assert f.inv(a) == raw.pow(a, f.q - 2)
+            assert f.add(f.sub(a, b), b) == a
+    _check_row_kernels(f, f, (0, 1, 128))

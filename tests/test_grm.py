@@ -1,4 +1,5 @@
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +75,14 @@ def test_shells(code_3_2):
         code_3_2.shell(10)
 
 
+@pytest.mark.parametrize("p,k,m", SMALL_CODES)
+def test_functional_values_equal_dot_products(p, k, m):
+    code = get_code(p, k, m)
+    lams = [c.lam for c in code.codewords() if c.b == 0]
+    for u in code.points():
+        assert code.functional_values(u) == [code.field.dot(lam, u) for lam in lams]
+
+
 # ---------------------------------------------------------
 # Classification
 # ---------------------------------------------------------
@@ -83,7 +92,7 @@ def test_classify_examples(code_3_2):
     assert classify_T(code_3_2, ((0, 0), (1, 0), (2, 0))) == TClass(3, 1)
     assert classify_T(code_3_2, ((0, 0), (1, 0), (0, 1))) == TClass(3, 2)
     assert classify_T(code_3_2, ((0, 0), (1, 0))) == TClass(2, 1)
-    # dependency coefficients (1, 1): 1+1 = 2 != 1 and 1*1 != 0 in GF(3)
+    # dependency (1, 1, -1): no zero coefficient, and 1 + 1 - 1 != 0
     assert classify_T(code_3_2, ((0, 0), (1, 0), (0, 1), (1, 1))) == TClass(4, 2, GENERIC)
     assert classify_T(code_3_2, ((0, 0), (1, 0), (0, 1), (2, 0))) == TClass(
         4, 2, COLLINEAR_TRIPLE
@@ -223,3 +232,50 @@ def test_class_is_invariant_under_order_and_translation(case):
     expected = classify_T(code, T)
     assert classify_T(code, tuple(T[i] for i in order)) == expected
     assert classify_T(code, translate_T(code.field, T, shift)) == expected
+
+
+# ---------------------------------------------------------
+# Classification against an elimination-free oracle
+# ---------------------------------------------------------
+
+
+@cache
+def _lam_values(code):
+    """point -> [lam(point) for every functional lam], by Field.dot."""
+    lams = list(product(range(code.q), repeat=code.m))
+    return {u: [code.field.dot(lam, u) for lam in lams] for u in code.points()}
+
+
+def _oracle_rank(code, values, S) -> int:
+    # The functionals constant on S are those with lam(u - u_0) = 0 for all
+    # u in S: a subspace of dimension m - rank(S).
+    constant = sum(1 for col in zip(*(values[u] for u in S)) if len(set(col)) == 1)
+    rank = code.m
+    while code.q ** (code.m - rank) < constant:
+        rank -= 1
+    assert code.q ** (code.m - rank) == constant
+    return rank
+
+
+def _oracle_class(code, values, T) -> TClass:
+    t, rank = len(T), _oracle_rank(code, values, T)
+    if t == 4 and rank == 2:
+        collinear = any(_oracle_rank(code, values, S) == 1 for S in combinations(T, 3))
+        return TClass(t, rank, COLLINEAR_TRIPLE if collinear else GENERIC)
+    return TClass(t, rank)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(code_points_shift())
+def test_classify_equals_oracle(case):
+    code, T, _, _ = case
+    assert classify_T(code, T) == _oracle_class(code, _lam_values(code), T)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (5, 1)])
+def test_classify_equals_oracle_on_every_plane_quad(p, k):
+    # every 4-subset of GF(4)^2 and GF(5)^2
+    code = get_code(p, k, 2)
+    values = _lam_values(code)
+    for T in combinations(code.points(), 4):
+        assert classify_T(code, T) == _oracle_class(code, values, T), T
