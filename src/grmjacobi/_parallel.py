@@ -8,7 +8,6 @@ whatever the worker count.  A worker count of 1 runs inline with no pool.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 ENV_WORKERS = "GRMJACOBI_WORKERS"
 
@@ -34,5 +33,8 @@ def run_chunks(fn, args_list: list, workers: int) -> list:
     """Apply fn to each element of args_list, preserving input order."""
     if workers <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
+    # imported here, so that a one-worker run never loads the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
         return list(pool.map(fn, args_list))

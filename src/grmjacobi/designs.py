@@ -23,12 +23,11 @@ from .grm import (
     TClass,
     class_witness,
     classify_T,
+    require_budget,
     t_class_census,
 )
 from .jacobi import closed_form_a, closed_weight_distribution, jacobi_closed_form
 from ._parallel import run_chunks, split
-
-DEFAULT_BUDGET = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -113,31 +112,27 @@ def design_check_jacobi(
 
 
 def design_check_bruteforce(
-    code: GrmCode,
-    ell: int,
-    t: int,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
+    code: GrmCode, ell: int, t: int, workers: int = 1
 ) -> DesignReport:
     """Design verdict by direct block counting over every t-subset.
 
-    Refuses (rather than truncates) when |subsets| * |blocks| exceeds the
-    budget; a nonempty shell has at least one block, so |subsets| alone
-    over the budget refuses before the shell is enumerated.  Raises if two
-    subsets of the same class see different counts, which would falsify
-    the class-determines-count property the Jacobi route relies on.
+    Refuses (rather than truncates) before the shell is enumerated when
+    |subsets| x |blocks| exceeds the work budget, with |blocks| the
+    closed-form shell size (at least 1, so an empty shell still reaches
+    its own error).  The reported block count is that of the enumerated
+    shell.  Raises if two subsets of the same class see different counts,
+    which would falsify the class-determines-count property the Jacobi
+    route relies on.
     """
     _require_t(t)
     _require_weight(code, ell)
-    n_subsets = math.comb(code.n, t)
-    if n_subsets > budget:
-        raise ValueError(f"{n_subsets} subsets exceed budget {budget}")
+    expected = closed_weight_distribution(code.q, code.m).get(ell, 0)
+    require_budget(
+        math.comb(code.n, t) * max(expected, 1),
+        f"C({code.n}, {t}) subsets x {expected} blocks",
+    )
     shell = code.shell(ell)
     block_count = _require_blocks(code, ell, len(shell))
-    if n_subsets * block_count > budget:
-        raise ValueError(
-            f"{n_subsets} subsets x {block_count} blocks exceeds budget {budget}"
-        )
     # bit j of masks[i] is set when block j contains position i
     masks = [0] * code.n
     for j, c in enumerate(shell):

@@ -6,6 +6,10 @@ and its q^(m+1) codewords are the evaluation vectors of the affine maps
 x -> lam(x) + b.  Codewords are kept as (lam, b) pairs and evaluated on
 demand, so memory stays O(m) per word.
 
+Every enumeration here and in the modules built on it first asks
+require_budget whether its work fits WORK_BUDGET, and refuses with
+BudgetExceeded before it starts rather than run for hours.
+
 A position set T (a tuple of points) is classified by its affine rank: the
 rank of the difference vectors d_i = u_i - u_0 taken from the first point
 of T in V-order.  Four-point sets of rank 2 additionally split into two
@@ -30,6 +34,21 @@ GENERIC = "generic"
 
 Point = tuple[int, ...]
 PointSet = tuple[Point, ...]
+
+# Largest enumeration any function runs: codewords x positions, points x
+# functional values, subsets, or subsets x blocks.
+WORK_BUDGET = 5 * 10**7
+
+
+class BudgetExceeded(ValueError):
+    """An enumeration would do more work than WORK_BUDGET."""
+
+
+def require_budget(work: int, what: str) -> None:
+    """Refuse, before it starts, an enumeration of `work` steps described
+    by `what` when that exceeds WORK_BUDGET."""
+    if work > WORK_BUDGET:
+        raise BudgetExceeded(f"{what} = {work} exceeds the work budget {WORK_BUDGET}")
 
 
 class Codeword(NamedTuple):
@@ -113,8 +132,14 @@ class GrmCode:
     def support(self, c: Codeword) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(self.value_row(c)) if v)
 
+    def require_scan_budget(self) -> None:
+        """Refuse a scan of every codeword at every position that exceeds
+        WORK_BUDGET."""
+        require_budget(self.size * self.n, f"{self.size} codewords x {self.n} positions")
+
     def weight_distribution(self) -> dict[int, int]:
         """Enumerated weight -> count map (by full position scans)."""
+        self.require_scan_budget()
         dist: dict[int, int] = {}
         for c in self.codewords():
             w = self.weight(c)
@@ -125,6 +150,7 @@ class GrmCode:
         """All codewords of weight exactly ell (possibly empty)."""
         if not 0 <= ell <= self.n:
             raise ValueError(f"weight {ell} out of range [0, {self.n}]")
+        self.require_scan_budget()
         return [c for c in self.codewords() if self.weight(c) == ell]
 
     def __repr__(self) -> str:
@@ -195,25 +221,18 @@ def classify_T(code: GrmCode, points: PointSet) -> TClass:
     return TClass(t, rank, subcase)
 
 
-def t_class_census(
-    code: GrmCode, t: int, limit: int | None = None, workers: int = 1
-) -> dict[TClass, int]:
+def t_class_census(code: GrmCode, t: int, workers: int = 1) -> dict[TClass, int]:
     """Class -> number of t-subsets of V in that class.
 
     Only the C(n-1, t-1) subsets through the zero point (position 0) are
     classified.  Translation keeps the class, and (S0, v) -> (S0 + v, v)
     maps {S0 through 0} x V one-to-one onto the pairs (S, u in S), so a
     class with N0 subsets through 0 has n * N0 / t subsets in all.
-
-    limit caps the number C(n, t) of subsets counted (error when exceeded)
-    so callers cannot silently start an infeasible census.
     """
     if not 2 <= t <= 4:
         raise ValueError(f"|T| must be in [2, 4], got {t}")
     n = code.n
-    total = comb(n, t)
-    if limit is not None and total > limit:
-        raise ValueError(f"census of {total} subsets exceeds limit {limit}")
+    require_budget(comb(n - 1, t - 1), f"C({n - 1}, {t - 1}) subsets through zero")
     through_zero = ((0,) + rest for rest in combinations(range(1, n), t - 1))
     if workers <= 1:
         parts = [_census_chunk(code, through_zero)]

@@ -24,6 +24,7 @@ from .grm import (
     GrmCode,
     PointSet,
     TClass,
+    require_budget,
     translate_T,
     _neg_point,
 )
@@ -62,13 +63,6 @@ class JacobiPolynomial:
             c * w**ew * z**ez * x**ex * y**ey
             for (ew, ez, ex, ey), c in self.terms.items()
         )
-
-    def __add__(self, other: "JacobiPolynomial") -> "JacobiPolynomial":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return JacobiPolynomial(self.t, self.n, terms)
 
     def __sub__(self, other: "JacobiPolynomial") -> "JacobiPolynomial":
         self._check_compatible(other)
@@ -135,9 +129,6 @@ class WeightEnumerator:
     def evaluate(self, x: int = 1, y: int = 1) -> int:
         return sum(c * x ** (self.n - w) * y**w for w, c in self.counts.items())
 
-    def nonzero_weights(self) -> list[int]:
-        return sorted(self.counts)
-
     def to_jacobi(self) -> JacobiPolynomial:
         return JacobiPolynomial(
             0, self.n, {(0, 0, self.n - w, w): c for w, c in self.counts.items()}
@@ -184,20 +175,24 @@ def binom_conv(a_deg: int, alpha: int, b_deg: int) -> Iterator[int]:
 # -- brute-force Jacobi ----------------------------------------------------
 
 
-def _brute_chunk(code: GrmCode, points: PointSet, full_scan: bool, lams: range) -> dict[ExpKey, int]:
+def _brute_chunk(
+    code: GrmCode, points: PointSet, part: tuple[range, list | None]
+) -> dict[ExpKey, int]:
     """Term counts of the codewords (lam, b) for every b and every
     functional lam whose index in codewords() order lies in lams.
 
-    By default lam's values on T come from the points' functional-value
-    columns, and each distinct value tuple is tallied once with its
-    multiplicity.  full_scan evaluates every codeword at every position.
+    part is (lams, columns).  Given columns, the points' functional values
+    at lams, each distinct value tuple is tallied once with its
+    multiplicity.  Without them every codeword is evaluated at every
+    position (the full scan).
     """
+    lams, columns = part
     t, n, q = len(points), code.n, code.q
     # A nonzero functional takes every value q^(m-1) times, so the weight
     # of (lam, b) does not depend on b; for lam = 0 only b = 0 has weight 0.
     mid_weight = (q - 1) * q ** (code.m - 1)
     counts: dict[tuple[int, int], int] = {}  # (zeros on T, weight) -> codewords
-    if full_scan:
+    if columns is None:
         positions = [code.point_index(pt) for pt in points]
         for lam in islice(product(range(q), repeat=code.m), lams.start, lams.stop):
             rows = [code.value_row(Codeword(lam, b)) for b in range(q)]
@@ -205,7 +200,6 @@ def _brute_chunk(code: GrmCode, points: PointSet, full_scan: bool, lams: range) 
                 pair = (sum(1 for i in positions if not row[i]), sum(1 for v in row if v))
                 counts[pair] = counts.get(pair, 0) + 1
     else:
-        columns = [code.functional_values(u)[lams.start : lams.stop] for u in points]
         value_tuples = Counter(zip(*columns) if columns else [()] * len(lams))
         for values, mult in value_tuples.items():
             # (lam, b) vanishes at u exactly when lam(u) = -b, so as b runs
@@ -246,8 +240,9 @@ def jacobi_brute_force(
     count of nonzero positions outside T comes from the structural weight.
     full_scan=True instead evaluates every codeword at all q^m positions
     and serves as the independent oracle for both shortcuts.  With several
-    workers the functional indices range(q^m) are split into chunks whose
-    counts are summed, so results do not depend on the worker count.
+    workers the functional indices range(q^m) are split into chunks, each
+    handed its slice of the columns, whose counts are summed, so results do
+    not depend on the worker count.
     """
     t = len(points)
     if len(set(points)) != t:
@@ -255,12 +250,22 @@ def jacobi_brute_force(
     for pt in points:
         if not code.contains_point(pt):
             raise ValueError(f"point {pt} does not lie in V")
-    chunk = partial(_brute_chunk, code, tuple(points), full_scan)
-    lams = range(code.q**code.m)
-    if workers <= 1:
-        parts = [chunk(lams)]
+    if full_scan:
+        code.require_scan_budget()
+        columns = None
     else:
-        parts = run_chunks(chunk, split(lams, workers), workers)
+        require_budget(t * code.n, f"{t} points x {code.n} functional values")
+        columns = [code.functional_values(u) for u in points]
+    chunk = partial(_brute_chunk, code, tuple(points))
+    lams = range(code.n)
+    if workers <= 1:
+        parts = [chunk((lams, columns))]
+    else:
+        slices = [
+            (r, None if columns is None else [col[r.start : r.stop] for col in columns])
+            for r in split(lams, workers)
+        ]
+        parts = run_chunks(chunk, slices, workers)
     terms: dict[ExpKey, int] = {}
     for part in parts:
         for key, c in part.items():
@@ -309,6 +314,7 @@ def count_tables(code: GrmCode, points: PointSet) -> CountTables:
     t = len(points)
     if len(set(points)) != t:
         raise ValueError("points of T must be distinct")
+    require_budget(t * code.n, f"{t} points x {code.n} functional values")
     f = code.field
     pts = tuple(sorted(points))
     zero = tuple(0 for _ in range(code.m))

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from grmjacobi import checks
+from grmjacobi import GrmCode, checks, designs, grm
 from grmjacobi.checks import CHECKS, run_checks
 
 
@@ -35,6 +35,16 @@ def test_results_are_worker_count_invariant():
     one = run_checks(pairs=((3, 1, 2),), only=only, workers=1)
     two = run_checks(pairs=((3, 1, 2),), only=only, workers=2)
     assert [r.to_json_dict() for r in one] == [r.to_json_dict() for r in two]
+
+
+def test_design_check_skips_beyond_budget(monkeypatch):
+    # C(9, 3) = 84 triples x 24 blocks at (3, 1, 2); the brute-force route
+    # refuses before either route enumerates anything
+    monkeypatch.setattr(grm, "WORK_BUDGET", 84 * 24 - 1)
+    monkeypatch.setattr(GrmCode, "shell", lambda self, ell: pytest.fail("shell enumerated"))
+    monkeypatch.setattr(designs, "t_class_census", lambda *a, **k: pytest.fail("census ran"))
+    (result,) = run_checks(pairs=((3, 1, 2),), only=["design-triples"])
+    assert (result.status, result.detail) == ("SKIP", "beyond brute-force budget")
 
 
 @pytest.mark.parametrize(

@@ -292,6 +292,7 @@ def test_enum_distribution_and_shell(capsys, schema):
         ["enum", "--p", "7", "--m", "9"],
         ["design", "--p", "7", "--m", "6", "--l", "100842", "--t", "2", "--method", "brute"],
         ["jacobi", "--p", "2", "--k", "40", "--m", "1", "--t-size", "2"],
+        ["design", "--p", "7", "--m", "4", "--l", "2058", "--t", "3", "--method", "both"],
     ],
 )
 def test_work_beyond_budget_exit_1(capsys, argv):

@@ -13,6 +13,8 @@ from grmjacobi import (
     design_check_jacobi,
     generalized_design_params,
 )
+from grmjacobi import grm
+from grmjacobi.grm import BudgetExceeded
 
 from conftest import get_code
 
@@ -166,16 +168,24 @@ def test_block_count_matches_enumerated_shell(p, k, m):
         )
 
 
-def test_budget_guard(code_3_2):
-    with pytest.raises(ValueError):
-        design_check_bruteforce(code_3_2, 6, 3, budget=10)
+def test_budget_guard(monkeypatch, code_3_2):
+    # C(9, 3) = 84 triples x 24 blocks
+    monkeypatch.setattr(grm, "WORK_BUDGET", 84 * 24 - 1)
+    with pytest.raises(BudgetExceeded):
+        design_check_bruteforce(code_3_2, 6, 3)
+    monkeypatch.setattr(grm, "WORK_BUDGET", 84 * 24)
+    assert design_check_bruteforce(code_3_2, 6, 3).block_count == 24
 
 
 def test_budget_refuses_before_enumerating_the_shell(monkeypatch):
     code = GrmCode(Field(3), 2)  # a private instance: its shell is patched
     monkeypatch.setattr(code, "shell", lambda ell: pytest.fail("shell enumerated"))
-    with pytest.raises(ValueError, match="^36 subsets exceed budget 35$"):
-        design_check_bruteforce(code, 6, 2, budget=35)
+    monkeypatch.setattr(grm, "WORK_BUDGET", 36 * 24 - 1)
+    with pytest.raises(
+        BudgetExceeded,
+        match=r"^C\(9, 2\) subsets x 24 blocks = 864 exceeds the work budget 863$",
+    ):
+        design_check_bruteforce(code, 6, 2)
 
 
 # ---------------------------------------------------------

@@ -15,7 +15,8 @@ from grmjacobi import (
     t_class_census,
     translate_T,
 )
-from grmjacobi.grm import _census_chunk
+from grmjacobi import grm
+from grmjacobi.grm import BudgetExceeded, _census_chunk
 from grmjacobi.jacobi import closed_weight_distribution
 
 from conftest import SMALL_CODES, get_code
@@ -73,6 +74,17 @@ def test_shells(code_3_2):
     assert code_3_2.shell(5) == []
     with pytest.raises(ValueError):
         code_3_2.shell(10)
+
+
+def test_codeword_scans_refuse_beyond_budget(monkeypatch, code_3_2):
+    # 27 codewords x 9 positions
+    monkeypatch.setattr(grm, "WORK_BUDGET", 27 * 9 - 1)
+    with pytest.raises(BudgetExceeded, match="^27 codewords x 9 positions = 243 "):
+        code_3_2.weight_distribution()
+    with pytest.raises(BudgetExceeded):
+        code_3_2.shell(6)
+    monkeypatch.setattr(grm, "WORK_BUDGET", 27 * 9)
+    assert len(code_3_2.shell(6)) == 24
 
 
 @pytest.mark.parametrize("p,k,m", SMALL_CODES)
@@ -141,13 +153,17 @@ def test_quad_census_q2_m3():
     assert census == {TClass(4, 3): 56, TClass(4, 2, GENERIC): 14}
 
 
-def test_census_limit_guard(code_3_2):
-    with pytest.raises(ValueError):
-        t_class_census(code_3_2, 4, limit=10)
-    # the limit caps all C(9, 4) = 126 subsets, not the 56 through zero
-    with pytest.raises(ValueError):
-        t_class_census(code_3_2, 4, limit=125)
-    assert sum(t_class_census(code_3_2, 4, limit=126).values()) == 126
+def test_census_limit_guard(monkeypatch, code_3_2):
+    monkeypatch.setattr(grm, "WORK_BUDGET", 10)
+    with pytest.raises(BudgetExceeded):
+        t_class_census(code_3_2, 4)
+    # the budget caps the C(8, 3) = 56 subsets through zero, not all
+    # C(9, 4) = 126 subsets
+    monkeypatch.setattr(grm, "WORK_BUDGET", 55)
+    with pytest.raises(BudgetExceeded, match=r"^C\(8, 3\) subsets through zero = 56 "):
+        t_class_census(code_3_2, 4)
+    monkeypatch.setattr(grm, "WORK_BUDGET", 56)
+    assert sum(t_class_census(code_3_2, 4).values()) == 126
     with pytest.raises(ValueError):
         t_class_census(code_3_2, 5)
 
@@ -163,13 +179,14 @@ def test_census_equals_full_enumeration(p, k, m, t):
     assert t_class_census(code, t, workers=2) == expected
 
 
-def test_witnesses_match_census_reachability():
+def test_witnesses_match_census_reachability(monkeypatch):
+    monkeypatch.setattr(grm, "WORK_BUDGET", 10**5)
     for p, k, m in ((2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 3)):
         code = get_code(p, k, m)
         for t in (2, 3, 4):
             if code.n < t:
                 continue
-            census = set(t_class_census(code, t, limit=10**5))
+            census = set(t_class_census(code, t))
             assert census == set(reachable_classes(code, t))
 
 

@@ -23,6 +23,8 @@ from grmjacobi import (
     rank_difference_identity,
     weight_enumerator,
 )
+from grmjacobi import GrmCode, grm
+from grmjacobi.grm import BudgetExceeded
 from grmjacobi.jacobi import binom_conv
 
 from conftest import SMALL_CODES, get_code
@@ -72,6 +74,34 @@ def test_brute_force_worker_count_does_not_matter(code_3_2):
         assert one == jacobi_brute_force(code_3_2, T, full_scan=full_scan, workers=3)
 
 
+def test_brute_force_builds_columns_once_in_the_caller(monkeypatch, code_3_2):
+    T = ((0, 0), (1, 0), (0, 1))
+    one = jacobi_brute_force(code_3_2, T)
+    calls = []
+    honest = GrmCode.functional_values
+
+    def counting(self, u):
+        calls.append(u)
+        return honest(self, u)
+
+    monkeypatch.setattr(GrmCode, "functional_values", counting)
+    assert jacobi_brute_force(code_3_2, T, workers=2) == one
+    assert calls == list(T)
+
+
+def test_enumerations_refuse_beyond_budget(monkeypatch, code_3_2):
+    T = ((0, 0), (1, 0), (0, 1))
+    # 3 points x 9 functional values, or 27 codewords x 9 positions
+    monkeypatch.setattr(grm, "WORK_BUDGET", 3 * 9 - 1)
+    for run in (count_tables, jacobi_brute_force):
+        with pytest.raises(BudgetExceeded, match="^3 points x 9 functional values = 27 "):
+            run(code_3_2, T)
+    monkeypatch.setattr(grm, "WORK_BUDGET", 3 * 9)
+    assert count_tables(code_3_2, T).t == 3
+    with pytest.raises(BudgetExceeded, match="^27 codewords x 9 positions = 243 "):
+        jacobi_brute_force(code_3_2, T, full_scan=True)
+
+
 def test_brute_force_large_code():
     from grmjacobi import Field, GrmCode, TClass
 
@@ -100,6 +130,15 @@ def test_brute_force_agrees_with_every_route(case):
     if 2 <= len(T) <= 4:
         assert brute == jacobi_closed_form(code, classify_T(code, T))
         assert brute == jacobi_from_a(count_tables(code, T).a, code.q, code.m, len(T))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(code_and_points())
+def test_dual_transform_is_an_involution(case):
+    code, T = case
+    jac = jacobi_brute_force(code, T)
+    dual = dual_jacobi(jac, code.size, code.q)
+    assert dual_jacobi(dual, code.q**code.n // code.size, code.q) == jac
 
 
 def test_brute_force_input_validation(code_3_2):
