@@ -10,6 +10,7 @@ from .grm import (
     TClass,
     class_witness,
     classify_T,
+    closed_class_census,
     reachable_classes,
     t_class_census,
     translate_T,

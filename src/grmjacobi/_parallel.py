@@ -30,11 +30,13 @@ def split(items, workers: int) -> list:
 
 
 def run_chunks(fn, args_list: list, workers: int) -> list:
-    """Apply fn to each element of args_list, preserving input order."""
+    """Apply fn to each element of args_list, preserving input order, in
+    at most min(workers, len(args_list), os.cpu_count()) processes."""
     if workers <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
     # imported here, so that a one-worker run never loads the pool machinery
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
+    processes = min(workers, len(args_list), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(fn, args_list))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, permutations
 from math import comb
 
@@ -22,18 +22,19 @@ from .grm import (
     TClass,
     class_witness,
     classify_T,
+    closed_class_census,
     reachable_classes,
     t_class_census,
     translate_T,
 )
 from .jacobi import (
+    JacobiPolynomial,
     closed_form_a,
     closed_form_b,
     closed_weight_distribution,
     count_tables,
     dual_jacobi,
     jacobi_brute_force,
-    jacobi_closed_form,
     jacobi_from_a,
     rank_difference_identity,
     weight_enumerator,
@@ -106,9 +107,16 @@ def _points_of(code: GrmCode, subset: tuple[int, ...]):
 # -- chunked sweeps -----------------------------------------------------------
 
 
+@cache
+def _closed_polynomial(cls: TClass, q: int, m: int) -> JacobiPolynomial:
+    """The class's closed-form polynomial, built once per (class, q, m).
+    It is only compared, never handed out, so no caller can change it."""
+    return jacobi_from_a(closed_form_a(cls, q, m), q, m, cls.t)
+
+
 def jacobi_mismatch(code: GrmCode, points, cls: TClass) -> dict | None:
-    """Brute-force vs dispatched closed-form polynomial."""
-    if jacobi_brute_force(code, points) != jacobi_closed_form(code, cls):
+    """Brute-force vs closed-form polynomial of the subset's class."""
+    if jacobi_brute_force(code, points) != _closed_polynomial(cls, code.q, code.m):
         return {}
     return None
 
@@ -182,12 +190,23 @@ def check_support_scalars(code: GrmCode, workers: int = 1) -> CheckResult:
 
 
 def _census_failure(name: str, code: GrmCode) -> CheckResult | None:
-    """The size-4 class census must reach exactly the witness-backed
-    classes; a census beyond 2 * 10^6 subsets is not run, and so proves
-    nothing either way."""
+    """The enumerated size-4 class census must equal the closed-form one,
+    class sizes included, and reach exactly the witness-backed classes; a
+    census beyond 2 * 10^6 subsets is not run, and so proves nothing
+    either way."""
     if comb(code.n, 4) > FULL_SWEEP_LIMIT * 2:
         return None
-    reached = set(t_class_census(code, 4))
+    census = t_class_census(code, 4)
+    closed = closed_class_census(code.q, code.m, 4)
+    if census != closed:
+        return _result(
+            name, code, FAIL, "closed census mismatch",
+            counterexample={
+                "census": {c.label(): v for c, v in census.items()},
+                "closed": {c.label(): v for c, v in closed.items()},
+            },
+        )
+    reached = set(census)
     expected = set(reachable_classes(code, 4))
     if reached == expected:
         return None
@@ -296,10 +315,10 @@ def _design_check(name: str, t: int):
         ell = _middle_shell(code)
         if code.n < t or ell < t:
             return _result(name, code, SKIP, "middle shell smaller than t")
-        # brute force first: beyond the work budget it refuses before the
-        # Jacobi route's census runs
+        # brute force first: beyond the work budget it refuses, and the
+        # check is skipped, before the Jacobi route runs
         via_blocks = design_check_bruteforce(code, ell, t, workers=workers)
-        via_jacobi = design_check_jacobi(code, ell, t, workers=workers)
+        via_jacobi = design_check_jacobi(code, ell, t)
         if via_jacobi.lambda_by_class != via_blocks.lambda_by_class:
             return _result(
                 name, code, FAIL, "route disagreement",

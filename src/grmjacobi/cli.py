@@ -208,16 +208,15 @@ def cmd_jacobi(args) -> int:
 def cmd_design(args) -> int:
     code = _make_code(args)
     workers = resolve_workers(args.workers)
-    # brute force first, so that its refusal beyond the work budget comes
-    # before the Jacobi route's census; the report keeps jacobi first
+    # brute force first, so that beyond the work budget its refusal is the
+    # error reported; the report keeps jacobi first
     reports = {}
     if args.method in ("brute", "both"):
         reports["bruteforce"] = design_check_bruteforce(
             code, args.l, args.t, workers=workers
         )
     if args.method in ("jacobi", "both"):
-        jacobi = design_check_jacobi(code, args.l, args.t, workers=workers)
-        reports = {"jacobi": jacobi, **reports}
+        reports = {"jacobi": design_check_jacobi(code, args.l, args.t), **reports}
     agree = None
     if len(reports) == 2:
         a, b = reports["jacobi"], reports["bruteforce"]

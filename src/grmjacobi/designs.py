@@ -2,10 +2,11 @@
 
 Two independent routes produce the same report shape: the Jacobi route
 reads the count of blocks through a t-subset off the closed-form
-polynomial of the subset's class, while the brute-force route counts
-supports directly.  Blocks are counted with multiplicity (scalar multiples
-of a codeword contribute separate blocks), so Jacobi coefficients equal
-block counts exactly.
+polynomial of the subset's class and takes the class sizes from the
+closed-form census, so it enumerates nothing, while the brute-force route
+classifies every t-subset and counts supports directly.  Blocks are
+counted with multiplicity (scalar multiples of a codeword contribute
+separate blocks), so Jacobi coefficients equal block counts exactly.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .grm import (
     TClass,
     class_witness,
     classify_T,
+    closed_class_census,
     require_budget,
-    t_class_census,
 )
 from .jacobi import closed_form_a, closed_weight_distribution, jacobi_closed_form
 from ._parallel import run_chunks, split
@@ -84,23 +85,20 @@ def _require_blocks(code: GrmCode, ell: int, count: int) -> int:
     return count
 
 
-def design_check_jacobi(
-    code: GrmCode, ell: int, t: int, workers: int = 1
-) -> DesignReport:
-    """Design verdict from closed-form Jacobi coefficients.
+def design_check_jacobi(code: GrmCode, ell: int, t: int) -> DesignReport:
+    """Design verdict from closed forms alone.
 
-    The class census comes from t_class_census, which classifies only the
-    t-subsets through the zero point and scales by n/t; the number of
-    weight-ell blocks through a subset is the coefficient of
-    z^t x^(n-ell) y^(ell-t) in its class's polynomial, and the block count
-    is read off the closed-form weight distribution.
+    The class sizes come from closed_class_census (counts of affine lines
+    and planes); the number of weight-ell blocks through a subset is the
+    coefficient of z^t x^(n-ell) y^(ell-t) in its class's polynomial, and
+    the block count is read off the closed-form weight distribution.
     """
     _require_t(t)
     _require_weight(code, ell)
     block_count = _require_blocks(
         code, ell, closed_weight_distribution(code.q, code.m).get(ell, 0)
     )
-    census = t_class_census(code, t, workers=workers)
+    census = closed_class_census(code.q, code.m, t)
     lam = {}
     for cls in census:
         if ell < t:

@@ -21,12 +21,10 @@ otherwise.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import combinations, product
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
-from ._parallel import run_chunks, split
 from .field import Field
 
 COLLINEAR_TRIPLE = "collinear-triple"
@@ -71,7 +69,10 @@ class GrmCode:
 
     functional_values(u) is the column of lam(u) over all q^m functionals;
     the brute-force and count-table routes read one such column per point
-    of T, so they hold O(t * q^m) values.
+    of T.  Columns are memoized per point, so a sweep over many subsets
+    builds each column once.  The memo is emptied before it would hold more
+    than WORK_BUDGET values, the most one brute-force call may hold anyway,
+    and it is left out when the code is pickled for a worker.
     """
 
     def __init__(self, field: Field, m: int):
@@ -84,6 +85,10 @@ class GrmCode:
         self.size = field.q ** (m + 1)
         self._points: list[Point] | None = None
         self._point_index: dict[Point, int] | None = None
+        self._columns: dict[Point, list[int]] = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_columns": {}}
 
     # -- coordinates ---------------------------------------------------
 
@@ -112,11 +117,18 @@ class GrmCode:
 
     def functional_values(self, u: Point) -> list[int]:
         """lam(u) for all q^m functionals lam, in codewords() order of lam,
-        built by m outer additions of the multiples of u's coordinates."""
-        f = self.field
-        values = [0]
-        for c in u:
-            values = f.outer_sum(values, f.scale(c, f.elements()))
+        built by m outer additions of the multiples of u's coordinates.
+        The list is shared with later calls: callers must not change it."""
+        values = self._columns.get(u)
+        if values is None:
+            f = self.field
+            values = [0]
+            for c in u:
+                values = f.outer_sum(values, f.scale(c, f.elements()))
+            if (len(self._columns) + 1) * self.n > WORK_BUDGET:
+                self._columns.clear()
+            if self.n <= WORK_BUDGET:
+                self._columns[u] = values
         return values
 
     def evaluate(self, c: Codeword, point: Point) -> int:
@@ -221,8 +233,46 @@ def classify_T(code: GrmCode, points: PointSet) -> TClass:
     return TClass(t, rank, subcase)
 
 
-def t_class_census(code: GrmCode, t: int, workers: int = 1) -> dict[TClass, int]:
-    """Class -> number of t-subsets of V in that class.
+def closed_class_census(q: int, m: int, t: int) -> dict[TClass, int]:
+    """Class -> number of t-subsets of V = GF(q)^m in that class, counted
+    from affine lines and planes with no enumeration; classes of size 0 are
+    left out.  t_class_census is its enumerated oracle.
+
+    V has L = q^(m-1)(q^m - 1)/(q - 1) lines of q points and, for m >= 2,
+    P = q^(m-2) [m choose 2]_q planes of q^2 points.  A rank-1 subset is t
+    points of one line.  A collinear-triple quad is three points of a line
+    and one point off it; it has only one such triple, since two would
+    share two points and so put all four on one line.  A rank-2 quad lies
+    in exactly one plane and on none of its q(q+1) lines.  Every other
+    subset has rank t - 1.
+    """
+    if not 2 <= t <= 4:
+        raise ValueError(f"|T| must be in [2, 4], got {t}")
+    n = q**m
+    lines = q ** (m - 1) * (n - 1) // (q - 1)
+    rank1 = lines * comb(q, t)
+    if t == 2:
+        sizes = {TClass(2, 1): rank1}
+    elif t == 3:
+        sizes = {TClass(3, 2): comb(n, 3) - rank1, TClass(3, 1): rank1}
+    else:
+        planes = 0
+        if m >= 2:
+            planes = q ** (m - 2) * (n - 1) * (n // q - 1) // ((q * q - 1) * (q - 1))
+        rank2 = planes * (comb(q * q, 4) - q * (q + 1) * comb(q, 4))
+        collinear = lines * comb(q, 3) * (n - q)
+        sizes = {
+            TClass(4, 3): comb(n, 4) - rank2 - rank1,
+            TClass(4, 2, COLLINEAR_TRIPLE): collinear,
+            TClass(4, 2, GENERIC): rank2 - collinear,
+            TClass(4, 1): rank1,
+        }
+    return {cls: size for cls, size in sizes.items() if size}
+
+
+def t_class_census(code: GrmCode, t: int) -> dict[TClass, int]:
+    """Class -> number of t-subsets of V in that class, by enumeration: the
+    oracle for closed_class_census.
 
     Only the C(n-1, t-1) subsets through the zero point (position 0) are
     classified.  Translation keeps the class, and (S0, v) -> (S0 + v, v)
@@ -234,14 +284,7 @@ def t_class_census(code: GrmCode, t: int, workers: int = 1) -> dict[TClass, int]
     n = code.n
     require_budget(comb(n - 1, t - 1), f"C({n - 1}, {t - 1}) subsets through zero")
     through_zero = ((0,) + rest for rest in combinations(range(1, n), t - 1))
-    if workers <= 1:
-        parts = [_census_chunk(code, through_zero)]
-    else:
-        parts = run_chunks(partial(_census_chunk, code), split(list(through_zero), workers), workers)
-    census: dict[TClass, int] = {}
-    for part in parts:
-        for cls, cnt in part.items():
-            census[cls] = census.get(cls, 0) + cnt
+    census = _census_chunk(code, through_zero)
     for cls, cnt in census.items():
         census[cls], rest = divmod(n * cnt, t)
         if rest:

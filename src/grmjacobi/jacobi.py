@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cache, partial
 from itertools import islice, product
 from typing import Iterator
 
@@ -373,8 +373,10 @@ def jacobi_from_a(a, q: int, m: int, t: int) -> JacobiPolynomial:
 # -- closed forms ------------------------------------------------------------
 
 
+@cache
 def closed_form_a(tclass: TClass, q: int, m: int) -> tuple[int, ...]:
-    """Restricted-weight counts for each T classification, in closed form."""
+    """Restricted-weight counts for each T classification, in closed form
+    (computed once per argument triple)."""
     t, rank, sub = tclass.t, tclass.rank, tclass.subcase
     _check_class(tclass, q, m)
     qm = q**m
@@ -423,8 +425,10 @@ def closed_form_a(tclass: TClass, q: int, m: int) -> tuple[int, ...]:
     raise ValueError(f"no closed form for class {tclass}")
 
 
+@cache
 def closed_form_b(tclass: TClass, q: int, m: int) -> tuple[int, ...]:
-    """Functional value counts b_i in closed form (pair and triple classes)."""
+    """Functional value counts b_i in closed form (pair and triple classes;
+    computed once per argument triple)."""
     t, rank = tclass.t, tclass.rank
     _check_class(tclass, q, m)
     qa = q ** (m - 1)

@@ -161,7 +161,7 @@ def build_report(workers: int) -> tuple[dict, dict]:
     for p, k, m in ACCEPTANCE_PAIRS:
         code = code_for(p, k, m)
         ell = (code.q - 1) * code.q ** (code.m - 1)
-        jac = design_check_jacobi(code, ell, 2, workers=workers)
+        jac = design_check_jacobi(code, ell, 2)
         blk = design_check_bruteforce(code, ell, 2, workers=workers)
         c4[pair_key(code)] = {
             "l": ell,
@@ -183,7 +183,7 @@ def build_report(workers: int) -> tuple[dict, dict]:
         if (code.q, code.m) not in NOT_3_DESIGN_PAIRS:
             continue
         ell = (code.q - 1) * code.q ** (code.m - 1)
-        jac = design_check_jacobi(code, ell, 3, workers=workers)
+        jac = design_check_jacobi(code, ell, 3)
         blk = design_check_bruteforce(code, ell, 3, workers=workers)
         params = generalized_design_params(code, ell, 3)
         c5[pair_key(code)] = {

@@ -42,7 +42,7 @@ def test_design_check_skips_beyond_budget(monkeypatch):
     # refuses before either route enumerates anything
     monkeypatch.setattr(grm, "WORK_BUDGET", 84 * 24 - 1)
     monkeypatch.setattr(GrmCode, "shell", lambda self, ell: pytest.fail("shell enumerated"))
-    monkeypatch.setattr(designs, "t_class_census", lambda *a, **k: pytest.fail("census ran"))
+    monkeypatch.setattr(designs, "closed_class_census", lambda *a: pytest.fail("census ran"))
     (result,) = run_checks(pairs=((3, 1, 2),), only=["design-triples"])
     assert (result.status, result.detail) == ("SKIP", "beyond brute-force budget")
 
@@ -54,8 +54,8 @@ def test_design_check_skips_beyond_budget(monkeypatch):
 def test_design_check_fails_when_routes_disagree(monkeypatch, field, detail):
     honest = checks.design_check_jacobi
 
-    def skewed(code, ell, t, workers=1):
-        report = honest(code, ell, t, workers=workers)
+    def skewed(code, ell, t):
+        report = honest(code, ell, t)
         if field == "block_count":
             return replace(report, block_count=report.block_count + 1)
         cls = next(iter(report.class_counts))
@@ -65,3 +65,18 @@ def test_design_check_fails_when_routes_disagree(monkeypatch, field, detail):
     (result,) = run_checks(pairs=((3, 1, 2),), only=["design-triples"])
     assert (result.status, result.detail) == ("FAIL", detail)
     assert set(result.counterexample) == {"jacobi", "blocks"}
+
+
+def test_quad_census_fails_when_closed_sizes_disagree(monkeypatch):
+    # the same classes with one size off: only a size comparison sees it
+    honest = checks.closed_class_census
+
+    def skewed(q, m, t):
+        census = honest(q, m, t)
+        cls = next(iter(census))
+        return {**census, cls: census[cls] + 1}
+
+    monkeypatch.setattr(checks, "closed_class_census", skewed)
+    (result,) = run_checks(pairs=((3, 1, 2),), only=["jacobi-quads"])
+    assert (result.status, result.detail) == ("FAIL", "closed census mismatch")
+    assert set(result.counterexample) == {"census", "closed"}

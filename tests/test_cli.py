@@ -1,6 +1,7 @@
 import json
 import time
 from importlib import resources
+from math import comb
 
 import jsonschema
 import pytest
@@ -185,6 +186,25 @@ def test_design_csv_columns(capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert {r[4] for r in rows} == {"t3-rank2", "t3-rank1"}
     assert all(r[6] == "not-3-design" for r in rows)
+
+
+def test_design_jacobi_route_needs_no_enumeration(capsys, schema):
+    # GF(64)^4: C(2^24, 4) subsets, far beyond the work budget, yet the
+    # closed-form census answers at once; the brute-force route refuses
+    argv = ["design", "--p", "2", "--k", "6", "--m", "4", "--l", "16515072", "--t", "4"]
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, argv + ["--method", "jacobi"])
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    payload = json.loads(out)
+    validate(payload, schema, "designOutput")
+    report = payload["reports"]["jacobi"]
+    assert len(report["classes"]) == 4 and report["is_t_design"] is False
+    assert sum(c["subsets"] for c in report["classes"]) == comb(64**4, 4)
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, argv + ["--method", "both"])
+    assert time.monotonic() - start < 1.0
+    assert code == 1 and out == "" and "budget" in err
 
 
 def test_design_empty_shell_exit_1(capsys):

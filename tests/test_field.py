@@ -2,6 +2,7 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grmjacobi.field import Field, _is_irreducible, _poly_mod, is_prime, least_irreducible
 
@@ -201,6 +202,35 @@ def test_frobenius(p, k):
             lhs = f.pow(f.add(a, b), p)
             rhs = f.add(f.pow(a, p), f.pow(b, p))
             assert lhs == rhs
+
+
+# Fields above the table limit compute every operation from the modulus.
+UNTABLED = [Field(257), Field(2, 9)]
+
+
+@st.composite
+def untabled_triples(draw):
+    f = draw(st.sampled_from(UNTABLED))
+    a, b, c = (draw(st.integers(0, f.q - 1)) for _ in range(3))
+    return f, a, b, c
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(untabled_triples())
+def test_axioms_on_untabled_fields(case):
+    f, a, b, c = case
+    assert f._mul_table is None
+    assert f.add(a, b) == f.add(b, a)
+    assert f.mul(a, b) == f.mul(b, a)
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.add(a, 0) == f.mul(a, 1) == a
+    assert f.add(a, f.neg(a)) == 0
+    assert f.add(f.sub(a, b), b) == a
+    assert f.pow(f.add(a, b), f.p) == f.add(f.pow(a, f.p), f.pow(b, f.p))
+    if a:
+        assert f.mul(a, f.inv(a)) == 1
 
 
 def _check_row_kernels(f, ref, shifts):

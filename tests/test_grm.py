@@ -1,5 +1,7 @@
+import pickle
 from functools import cache
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +17,13 @@ from grmjacobi import (
     t_class_census,
     translate_T,
 )
-from grmjacobi import grm
-from grmjacobi.grm import BudgetExceeded, _census_chunk
+from grmjacobi import Field, GrmCode, grm
+from grmjacobi.checks import DEFAULT_PAIRS
+from grmjacobi.grm import BudgetExceeded, _census_chunk, closed_class_census
 from grmjacobi.jacobi import closed_weight_distribution
 
 from conftest import SMALL_CODES, get_code
+from test_acceptance import ACCEPTANCE_PAIRS
 
 
 # ---------------------------------------------------------
@@ -95,6 +99,32 @@ def test_functional_values_equal_dot_products(p, k, m):
         assert code.functional_values(u) == [code.field.dot(lam, u) for lam in lams]
 
 
+def test_functional_values_memo_is_bounded(monkeypatch):
+    code = GrmCode(Field(3), 2)
+    u, v, w = code.points()[1:4]
+    # room for two columns of 9 values, not three
+    monkeypatch.setattr(grm, "WORK_BUDGET", 2 * 9)
+    first = code.functional_values(u)
+    assert code.functional_values(u) is first
+    code.functional_values(v)
+    assert list(code._columns) == [u, v]
+    code.functional_values(w)
+    assert list(code._columns) == [w]
+    assert code.functional_values(u) == first
+    # a column larger than the budget is never kept
+    monkeypatch.setattr(grm, "WORK_BUDGET", 8)
+    code.functional_values(v)
+    assert code._columns == {}
+
+
+def test_pickled_code_carries_no_memo():
+    code = GrmCode(Field(3), 2)
+    column = code.functional_values((1, 2))
+    clone = pickle.loads(pickle.dumps(code))
+    assert clone._columns == {} and list(code._columns) == [(1, 2)]
+    assert clone.functional_values((1, 2)) == column
+
+
 # ---------------------------------------------------------
 # Classification
 # ---------------------------------------------------------
@@ -168,7 +198,7 @@ def test_census_limit_guard(monkeypatch, code_3_2):
         t_class_census(code_3_2, 5)
 
 
-@pytest.mark.parametrize("p,k,m", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 3)])
+@pytest.mark.parametrize("p,k,m", sorted(set(DEFAULT_PAIRS) | set(ACCEPTANCE_PAIRS)))
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_census_equals_full_enumeration(p, k, m, t):
     # q = 2 includes subsets fixed by a translation (pairs, and the affine
@@ -176,7 +206,24 @@ def test_census_equals_full_enumeration(p, k, m, t):
     code = get_code(p, k, m)
     expected = _census_chunk(code, combinations(range(code.n), t))
     assert t_class_census(code, t) == expected
-    assert t_class_census(code, t, workers=2) == expected
+    assert closed_class_census(code.q, code.m, t) == expected
+
+
+@pytest.mark.parametrize("p,k,m", SMALL_CODES + [(7, 1, 2), (2, 1, 4), (2, 2, 3), (2, 1, 5)])
+def test_closed_census_equals_census_through_zero(p, k, m):
+    code = get_code(p, k, m)
+    for t in (2, 3, 4):
+        assert closed_class_census(code.q, code.m, t) == t_class_census(code, t)
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (4, 1), (2, 6), (9, 3), (64, 4), (125, 2)])
+def test_closed_census_sizes_are_positive_and_sum_to_all_subsets(q, m):
+    for t in (2, 3, 4):
+        census = closed_class_census(q, m, t)
+        assert all(size > 0 for size in census.values())
+        assert sum(census.values()) == comb(q**m, t)
+    with pytest.raises(ValueError):
+        closed_class_census(q, m, 5)
 
 
 def test_witnesses_match_census_reachability(monkeypatch):

@@ -1,10 +1,11 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import grmjacobi
-from grmjacobi._parallel import split
+from grmjacobi._parallel import run_chunks, split
 
 
 def test_split_is_contiguous_and_bounded():
@@ -25,3 +26,27 @@ def test_cli_import_does_not_load_the_process_pool():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "False\n"
+
+
+def test_pool_size_is_capped_by_the_cpu_count(monkeypatch):
+    # a fake pool that records its size and maps inline, so no process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    items = list(range(1820))
+    chunks = split(items, 10**6)
+    assert run_chunks(sum, chunks, 10**6) == [sum(chunk) for chunk in chunks]
+    assert sizes == [min(len(chunks), os.cpu_count() or 1)]
