@@ -3,11 +3,18 @@
 Work is split into contiguous chunks up front and results are merged in
 chunk order (or by commutative integer sums), so every output is identical
 whatever the worker count.  A worker count of 1 runs inline with no pool.
+
+run_chunks is lazy and ordered: it yields each result in input order as
+soon as that result and all before it are done, so a caller can stream
+them out.  A caller that stops early (closes the iterator, or lets an
+exception pass through it) shuts the pool down and cancels the work not
+yet started.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Iterator
 
 ENV_WORKERS = "GRMJACOBI_WORKERS"
 
@@ -29,14 +36,21 @@ def split(items, workers: int) -> list:
     return [items[len(items) * i // count : len(items) * (i + 1) // count] for i in range(count)]
 
 
-def run_chunks(fn, args_list: list, workers: int) -> list:
-    """Apply fn to each element of args_list, preserving input order, in
-    at most min(workers, len(args_list), os.cpu_count()) processes."""
+def run_chunks(fn, args_list: list, workers: int) -> Iterator:
+    """Yield fn(a) for each element a of args_list, in input order, from
+    at most min(workers, len(args_list), os.cpu_count()) processes.  At
+    one worker each fn(a) runs inline when its result is asked for."""
     if workers <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
+        yield from map(fn, args_list)
+        return
     # imported here, so that a one-worker run never loads the pool machinery
     from concurrent.futures import ProcessPoolExecutor
 
     processes = min(workers, len(args_list), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(fn, args_list))
+    pool = ProcessPoolExecutor(max_workers=processes)
+    try:
+        yield from pool.map(fn, args_list)
+    finally:
+        # after the last result nothing is pending; after an early stop
+        # the queued calls are dropped and only the running ones finish
+        pool.shutdown(wait=True, cancel_futures=True)

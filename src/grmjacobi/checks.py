@@ -26,6 +26,7 @@ from .grm import (
     reachable_classes,
     t_class_census,
     translate_T,
+    _classify,
 )
 from .jacobi import (
     JacobiPolynomial,
@@ -38,6 +39,7 @@ from .jacobi import (
     jacobi_from_a,
     rank_difference_identity,
     weight_enumerator,
+    _jacobi_brute,
 )
 from .conjecture import (
     dual_diff_coefficient,
@@ -115,8 +117,9 @@ def _closed_polynomial(cls: TClass, q: int, m: int) -> JacobiPolynomial:
 
 
 def jacobi_mismatch(code: GrmCode, points, cls: TClass) -> dict | None:
-    """Brute-force vs closed-form polynomial of the subset's class."""
-    if jacobi_brute_force(code, points) != _closed_polynomial(cls, code.q, code.m):
+    """Brute-force vs closed-form polynomial of the subset's class (the
+    sweep's points are distinct points of V, so they are not checked)."""
+    if _jacobi_brute(code, points) != _closed_polynomial(cls, code.q, code.m):
         return {}
     return None
 
@@ -139,7 +142,7 @@ def _sweep_chunk(code: GrmCode, compare, subsets) -> list[dict]:
     mismatches = []
     for sub in subsets:
         points = _points_of(code, sub)
-        cls = classify_T(code, points)
+        cls = _classify(code, points)
         extra = compare(code, points, cls)
         if extra is not None:
             mismatches.append({"T": list(sub), "class": cls.label(), **extra})

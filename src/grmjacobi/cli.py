@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
+from contextlib import closing
 
 from .field import Field
 from .grm import (
@@ -286,13 +288,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    """Write each pair's record, and flush it, as soon as the pair is
+    checked; the exit code is known only after the last one."""
     bound = parse_bound(args.bound)
     workers = resolve_workers(args.workers)
-    results = conjecture_scan(bound, workers=workers)
     bad = False
-    for res in results:
-        print(json.dumps(res.to_json_dict(), sort_keys=False))
-        bad = bad or res.verdict == COUNTEREXAMPLE
+    # closing: an early stop (a closed pipe, an interrupt) cancels the
+    # pairs not yet started; each result is dropped once its record is out
+    with closing(conjecture_scan(bound, workers=workers)) as results:
+        for record in (res.to_json_dict() for res in results):
+            print(json.dumps(record, sort_keys=False), flush=True)
+            bad = bad or record["verdict"] == COUNTEREXAMPLE
     return EXIT_MISMATCH if bad else EXIT_OK
 
 
@@ -403,6 +409,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader went away (`scan | head -n 1`).  Point stdout at
+        # /dev/null so that the interpreter's last flush does not fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_USAGE
 
 

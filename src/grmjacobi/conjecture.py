@@ -18,12 +18,16 @@ Everything is exact big-integer arithmetic.  Every convolution is
 jacobi.binom_conv, which advances its binomials by exact multiply/divide
 and keeps a window of O(q^(m-1)) values; the dual weight enumerator still
 holds all q^m + 1 of a pair's counts, so memory per pair is O(q^m).
+conjecture_scan hands out its results lazily, in (q, m) order, so a
+caller can write each pair's record as it finishes and, at one worker,
+hold one pair's results at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .field import Field
 from .grm import GrmCode, TClass, class_witness
@@ -256,10 +260,9 @@ def _scan_chunk(pair) -> ScanResult:
     return scan_pair(*pair)
 
 
-def conjecture_scan(
-    bound: int = DEFAULT_BOUND, workers: int = 1
-) -> list[ScanResult]:
-    """Scan every (q, m) pair under the bound; results in (q, m) order
+def conjecture_scan(bound: int = DEFAULT_BOUND, workers: int = 1) -> Iterator[ScanResult]:
+    """Scan every (q, m) pair under the bound.  The bound is checked at
+    the call; the results then come one pair at a time, in (q, m) order
     regardless of the worker count."""
     if bound < MIN_BOUND:
         raise ValueError(f"bound must be >= {MIN_BOUND}, got {bound}")

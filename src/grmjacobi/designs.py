@@ -23,9 +23,9 @@ from .grm import (
     PointSet,
     TClass,
     class_witness,
-    classify_T,
     closed_class_census,
     require_budget,
+    _classify,
 )
 from .jacobi import closed_form_a, closed_weight_distribution, jacobi_closed_form
 from ._parallel import run_chunks, split
@@ -166,7 +166,7 @@ def _count_chunk(code: GrmCode, masks: list[int], subsets):
         common = masks[sub[0]]
         for i in sub[1:]:
             common &= masks[i]
-        cls = classify_T(code, tuple(points[i] for i in sub))
+        cls = _classify(code, tuple(points[i] for i in sub))
         lam.setdefault(cls, set()).add(common.bit_count())
         census[cls] = census.get(cls, 0) + 1
     return lam, census

@@ -104,8 +104,16 @@ class GrmCode:
             self._point_index = {p: i for i, p in enumerate(self.points())}
         return self._point_index[point]
 
-    def contains_point(self, point) -> bool:
-        return len(point) == self.m and min(point) >= 0 and max(point) < self.q
+    def require_points(self, points) -> None:
+        """Refuse a position set T that repeats a point or holds one that
+        does not lie in V: the check behind every public function taking
+        a caller's T.  A T built from distinct indices into points() needs
+        no check."""
+        if len(set(points)) != len(points):
+            raise ValueError("points of T must be distinct")
+        for p in points:
+            if not (len(p) == self.m and min(p) >= 0 and max(p) < self.q):
+                raise ValueError(f"point {p} does not lie in V")
 
     # -- codewords -------------------------------------------------------
 
@@ -186,7 +194,18 @@ _UNIT_TAGS = ([1, 0, 0], [0, 1, 0], [0, 0, 1])
 
 def classify_T(code: GrmCode, points: PointSet) -> TClass:
     """Classify a set of 2..4 distinct points by size, affine rank and,
-    for four points of rank 2, the dependency sub-case.
+    for four points of rank 2, the dependency sub-case, after checking T
+    (see _classify)."""
+    t = len(points)
+    if not 2 <= t <= 4:
+        raise ValueError(f"|T| must be in [2, 4], got {t}")
+    code.require_points(points)
+    return _classify(code, points)
+
+
+def _classify(code: GrmCode, points: PointSet) -> TClass:
+    """classify_T without its checks on T, for the enumerations, whose
+    subsets are distinct indices into code.points().
 
     One Gaussian elimination runs on the differences d_i = u_i - u_0 from
     the first point u_0 of T in V-order, each row augmented with its unit
@@ -198,13 +217,6 @@ def classify_T(code: GrmCode, points: PointSet) -> TClass:
     order and translation is a tested property, not an assumption.
     """
     t = len(points)
-    if not 2 <= t <= 4:
-        raise ValueError(f"|T| must be in [2, 4], got {t}")
-    if len(set(points)) != t:
-        raise ValueError("points of T must be distinct")
-    for p in points:
-        if not code.contains_point(p):
-            raise ValueError(f"point {p} does not lie in V")
     f, m = code.field, code.m
     pts = sorted(points)
     base = pts[0]
@@ -300,7 +312,7 @@ def _census_chunk(code: GrmCode, subsets) -> dict[TClass, int]:
     points = code.points()
     census: dict[TClass, int] = {}
     for sub in subsets:
-        cls = classify_T(code, tuple(points[i] for i in sub))
+        cls = _classify(code, tuple(points[i] for i in sub))
         census[cls] = census.get(cls, 0) + 1
     return census
 
@@ -308,7 +320,7 @@ def _census_chunk(code: GrmCode, subsets) -> dict[TClass, int]:
 def class_witness(code: GrmCode, tclass: TClass) -> PointSet | None:
     """A canonical point set of the requested class, or None when no such
     set exists for this (q, m).  The construction is verified by
-    classify_T before being returned."""
+    _classify before being returned."""
     q, m = code.q, code.m
     t, rank, sub = tclass.t, tclass.rank, tclass.subcase
 
@@ -340,7 +352,7 @@ def class_witness(code: GrmCode, tclass: TClass) -> PointSet | None:
         candidate = (zero, e(0), scale(2, e(0)), scale(3, e(0)))
     if candidate is None:
         return None
-    if len(set(candidate)) != t or classify_T(code, candidate) != tclass:
+    if len(set(candidate)) != t or _classify(code, candidate) != tclass:
         return None
     return candidate
 

@@ -242,14 +242,17 @@ def jacobi_brute_force(
     and serves as the independent oracle for both shortcuts.  With several
     workers the functional indices range(q^m) are split into chunks, each
     handed its slice of the columns, whose counts are summed, so results do
-    not depend on the worker count.
+    not depend on the worker count.  T is checked first (_jacobi_brute
+    skips that, for subsets built from code.points()).
     """
+    code.require_points(points)
+    return _jacobi_brute(code, points, full_scan, workers)
+
+
+def _jacobi_brute(
+    code: GrmCode, points: PointSet, full_scan: bool = False, workers: int = 1
+) -> JacobiPolynomial:
     t = len(points)
-    if len(set(points)) != t:
-        raise ValueError("points of T must be distinct")
-    for pt in points:
-        if not code.contains_point(pt):
-            raise ValueError(f"point {pt} does not lie in V")
     if full_scan:
         code.require_scan_budget()
         columns = None

@@ -244,7 +244,7 @@ def build_report(workers: int) -> tuple[dict, dict]:
 
     # criterion 8: the scan at bound 10^7
     t0 = time.perf_counter()
-    results = conjecture_scan(SCAN_BOUND, workers=workers)
+    results = list(conjecture_scan(SCAN_BOUND, workers=workers))
     m1 = [r for r in results if r.m == 1]
     m2 = [r for r in results if r.m >= 2]
     scan_32 = next(r for r in results if (r.q, r.m) == (3, 2))

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from grmjacobi import GrmCode, checks, designs, grm
+from grmjacobi import Field, GrmCode, checks, designs, grm, jacobi
 from grmjacobi.checks import CHECKS, run_checks
 
 
@@ -80,3 +80,29 @@ def test_quad_census_fails_when_closed_sizes_disagree(monkeypatch):
     (result,) = run_checks(pairs=((3, 1, 2),), only=["jacobi-quads"])
     assert (result.status, result.detail) == ("FAIL", "closed census mismatch")
     assert set(result.counterexample) == {"census", "closed"}
+
+
+def test_points_are_checked_at_the_public_entries_only(monkeypatch):
+    # the enumerations build T from distinct indices into code.points(),
+    # so they skip the check that classify_T and jacobi_brute_force make
+    checked = []
+    honest = GrmCode.require_points
+
+    def counting(self, points):
+        checked.append(points)
+        honest(self, points)
+
+    monkeypatch.setattr(GrmCode, "require_points", counting)
+    only = ["jacobi-quads", "count-tables-triples", "design-triples"]
+    results = run_checks(pairs=((3, 1, 2),), only=only)
+    assert [r.status for r in results] == ["PASS"] * 3
+    assert checked == []
+    code = GrmCode(Field(3), 2)
+    points = ((0, 0), (0, 1), (1, 2))
+    assert grm.classify_T(code, points) == grm.TClass(3, 2)
+    assert jacobi.jacobi_brute_force(code, points).evaluate(1, 1, 1, 1) == 27
+    assert checked == [points, points]
+    with pytest.raises(ValueError, match="distinct"):
+        grm.classify_T(code, ((0, 0), (0, 0)))
+    with pytest.raises(ValueError, match="does not lie in V"):
+        jacobi.jacobi_brute_force(code, ((0, 0), (0, 3)))

@@ -1,11 +1,19 @@
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from dataclasses import replace
 from importlib import resources
 from math import comb
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import grmjacobi
+from grmjacobi import conjecture
 from grmjacobi.cli import main, parse_bound, parse_points
 
 
@@ -276,6 +284,82 @@ def test_scan_deterministic_across_workers(capsys):
     code2, out2, _ = run_cli(capsys, ["scan", "--bound", "1e4", "--workers", "2"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+class RecordingStream(io.StringIO):
+    """A stdout that tells what has been flushed from what is only written."""
+
+    flushed = ""
+
+    def flush(self):
+        self.flushed = self.getvalue()
+
+
+def test_scan_streams_each_record_as_its_pair_finishes(monkeypatch):
+    stream = RecordingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    seen = []  # (records flushed, nothing unflushed) as each pair starts
+    real = conjecture.scan_pair
+
+    def watched(q, m):
+        seen.append((stream.flushed.count("\n"), stream.getvalue() == stream.flushed))
+        return real(q, m)
+
+    monkeypatch.setattr(conjecture, "scan_pair", watched)
+    assert main(["scan", "--bound", "1e4", "--workers", "1"]) == 0
+    pairs = conjecture.scan_pairs(10**4)
+    assert seen == [(k, True) for k in range(len(pairs))]
+    assert stream.flushed == stream.getvalue() and stream.flushed.count("\n") == len(pairs)
+
+
+def test_scan_counterexample_exit_2_after_every_record(capsys, monkeypatch):
+    real = conjecture.scan_pair
+
+    def forged(q, m):
+        res = real(q, m)
+        if (q, m) == (3, 2):
+            return replace(res, verdict=conjecture.COUNTEREXAMPLE, counterexample=(3, 0))
+        return res
+
+    monkeypatch.setattr(conjecture, "scan_pair", forged)
+    code, out, _ = run_cli(capsys, ["scan", "--bound", "1e4"])
+    verdicts = [json.loads(line)["verdict"] for line in out.splitlines()]
+    assert code == 2 and len(verdicts) == len(conjecture.scan_pairs(10**4))
+    assert verdicts.count("COUNTEREXAMPLE") == 1 and verdicts[1] == "COUNTEREXAMPLE"
+
+
+def test_scan_error_midway_keeps_the_records_written(capsys, monkeypatch):
+    real = conjecture.scan_pair
+
+    def failing(q, m):
+        if (q, m) == (5, 1):
+            raise RuntimeError("internal error")
+        return real(q, m)
+
+    monkeypatch.setattr(conjecture, "scan_pair", failing)
+    with pytest.raises(RuntimeError):
+        main(["scan", "--bound", "1e4"])
+    written = [(r["q"], r["m"]) for r in map(json.loads, capsys.readouterr().out.splitlines())]
+    pairs = conjecture.scan_pairs(10**4)
+    assert written == pairs[: pairs.index((5, 1))]
+
+
+def test_scan_exits_1_without_traceback_when_the_reader_goes_away():
+    env = {**os.environ, "PYTHONPATH": str(Path(grmjacobi.__file__).parents[1])}
+    env.pop("GRMJACOBI_WORKERS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grmjacobi.cli", "scan", "--bound", "1e8"],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert json.loads(proc.stdout.readline())["q"] == 3
+        proc.stdout.close()  # `scan | head -n 1`; the whole scan takes minutes
+        assert proc.wait(timeout=30) == 1
+        assert "Traceback" not in proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_scan_bad_bound_exit_1(capsys):

@@ -214,7 +214,7 @@ def test_m1_dual_shells_are_3_designs_which_is_why_m1_is_skipped():
 
 
 def test_scan_small_bound_verdicts():
-    results = conjecture_scan(10**4)
+    results = list(conjecture_scan(10**4))
     assert results == sorted(results, key=lambda r: (r.q, r.m))
     for res in results:
         if res.m == 1:
@@ -231,7 +231,7 @@ def test_scan_small_bound_verdicts():
 
 
 def test_scan_worker_count_is_immaterial():
-    assert conjecture_scan(10**4) == conjecture_scan(10**4, workers=3)
+    assert list(conjecture_scan(10**4)) == list(conjecture_scan(10**4, workers=3))
 
 
 def test_scan_bound_validation():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import grmjacobi
 from grmjacobi._parallel import run_chunks, split
 
@@ -28,25 +30,69 @@ def test_cli_import_does_not_load_the_process_pool():
     assert out.stdout == "False\n"
 
 
-def test_pool_size_is_capped_by_the_cpu_count(monkeypatch):
-    # a fake pool that records its size and maps inline, so no process starts
-    sizes = []
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size and how it is
+    shut down, and maps lazily in this process, so no process starts."""
 
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    sizes: list = []
+    shutdowns: list = []
 
-        def __enter__(self):
-            return self
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def __exit__(self, *exc):
-            return False
+    def map(self, fn, items):
+        return map(fn, items)
 
-        def map(self, fn, items):
-            return map(fn, items)
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
 
+
+@pytest.fixture
+def fake_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(FakePool, "shutdowns", [])
+    return FakePool
+
+
+def test_pool_size_is_capped_by_the_cpu_count(fake_pool):
     items = list(range(1820))
     chunks = split(items, 10**6)
-    assert run_chunks(sum, chunks, 10**6) == [sum(chunk) for chunk in chunks]
-    assert sizes == [min(len(chunks), os.cpu_count() or 1)]
+    assert list(run_chunks(sum, chunks, 10**6)) == [sum(chunk) for chunk in chunks]
+    assert fake_pool.sizes == [min(len(chunks), os.cpu_count() or 1)]
+
+
+def test_run_chunks_is_lazy_at_one_worker():
+    calls = []
+
+    def fn(a):
+        calls.append(a)
+        return -a
+
+    results = run_chunks(fn, [1, 2, 3], 1)
+    assert calls == []
+    assert next(results) == -1 and calls == [1]
+    assert list(results) == [-2, -3] and calls == [1, 2, 3]
+
+
+def test_closing_run_chunks_early_cancels_pending_work(fake_pool):
+    calls = []
+
+    def fn(a):
+        calls.append(a)
+        return a
+
+    results = run_chunks(fn, [1, 2, 3, 4], 2)
+    assert next(results) == 1
+    results.close()
+    assert calls == [1]
+    assert fake_pool.shutdowns == [{"wait": True, "cancel_futures": True}]
+
+
+def test_an_error_on_either_side_shuts_the_pool_down(fake_pool):
+    with pytest.raises(ZeroDivisionError):  # raised by fn, through the iterator
+        list(run_chunks(lambda a: 1 // a, [1, 0, 2], 2))
+    with pytest.raises(KeyError):  # raised by the caller, which drops the iterator
+        for _ in run_chunks(abs, [1, 2, 3], 2):
+            raise KeyError("caller stops")
+    assert fake_pool.shutdowns == [{"wait": True, "cancel_futures": True}] * 2
