@@ -7,26 +7,13 @@ whatever the worker count.  A worker count of 1 runs inline with no pool.
 run_chunks is lazy and ordered: it yields each result in input order as
 soon as that result and all before it are done, so a caller can stream
 them out.  A caller that stops early (closes the iterator, or lets an
-exception pass through it) shuts the pool down and cancels the work not
-yet started.
+exception pass through it) terminates the pool, running chunks included.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Iterator
-
-ENV_WORKERS = "GRMJACOBI_WORKERS"
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, else the GRMJACOBI_WORKERS env var, else 1."""
-    if workers is None:
-        raw = os.environ.get(ENV_WORKERS, "").strip()
-        workers = int(raw) if raw else 1
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
 
 
 def split(items, workers: int) -> list:
@@ -44,13 +31,13 @@ def run_chunks(fn, args_list: list, workers: int) -> Iterator:
         yield from map(fn, args_list)
         return
     # imported here, so that a one-worker run never loads the pool machinery
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
-    processes = min(workers, len(args_list), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=processes)
+    pool = multiprocessing.Pool(min(workers, len(args_list), os.cpu_count() or 1))
     try:
-        yield from pool.map(fn, args_list)
+        yield from pool.imap(fn, args_list)
     finally:
-        # after the last result nothing is pending; after an early stop
-        # the queued calls are dropped and only the running ones finish
-        pool.shutdown(wait=True, cancel_futures=True)
+        # after the last result the workers are idle; after an early stop
+        # the queued and the running calls are dropped alike
+        pool.terminate()
+        pool.join()

@@ -39,6 +39,7 @@ from .jacobi import (
     jacobi_from_a,
     rank_difference_identity,
     weight_enumerator,
+    _count_tables,
     _jacobi_brute,
 )
 from .conjecture import (
@@ -126,8 +127,8 @@ def jacobi_mismatch(code: GrmCode, points, cls: TClass) -> dict | None:
 
 def count_mismatch(code: GrmCode, points, cls: TClass) -> dict | None:
     """Enumerated count tables vs the closed-form a (and, for pairs and
-    triples, b) vectors."""
-    tables = count_tables(code, points)
+    triples, b) vectors; the sweep's points are not checked."""
+    tables = _count_tables(code, points)
     expected_a = closed_form_a(cls, code.q, code.m)
     if tables.a != expected_a:
         return {"kind": "a", "got": list(tables.a), "expected": list(expected_a)}
@@ -240,7 +241,9 @@ def _sweep_check(name: str, t: int, compare, census: bool = False):
 
 def check_count_route(code: GrmCode, workers: int = 1) -> CheckResult:
     """count_tables -> a -> assembled polynomial must equal brute force,
-    including for subsets that do not contain the zero point."""
+    including for subsets that do not contain the zero point.  Both read
+    the same functional tally, so this checks count_tables' translation;
+    the tally's oracles are the closed forms and the full scan."""
     rng = random.Random(SAMPLE_SEED + 1)
     for t in (2, 3, 4):
         if code.n < t:

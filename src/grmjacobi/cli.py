@@ -34,7 +34,6 @@ from .designs import (
 )
 from .conjecture import COUNTEREXAMPLE, conjecture_scan
 from .checks import CHECKS, DEFAULT_PAIRS, run_checks
-from ._parallel import resolve_workers
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -159,7 +158,6 @@ def _jacobi_targets(code: GrmCode, args):
 
 def cmd_jacobi(args) -> int:
     code = _make_code(args)
-    workers = resolve_workers(args.workers)
     items = _jacobi_targets(code, args)
     results = []
     pretty = []
@@ -172,7 +170,7 @@ def cmd_jacobi(args) -> int:
         pretty.append(f"T = {entry['points']}  class = {entry['class']}")
         brute = closed = None
         if args.method in ("brute", "both"):
-            brute = jacobi_brute_force(code, points, workers=workers)
+            brute = jacobi_brute_force(code, points)
             entry["brute"] = _poly_json(brute)
             pretty.append(f"  brute: {brute.pretty()}")
         if args.method in ("closed", "both"):
@@ -209,13 +207,12 @@ def cmd_jacobi(args) -> int:
 
 def cmd_design(args) -> int:
     code = _make_code(args)
-    workers = resolve_workers(args.workers)
     # brute force first, so that beyond the work budget its refusal is the
     # error reported; the report keeps jacobi first
     reports = {}
     if args.method in ("brute", "both"):
         reports["bruteforce"] = design_check_bruteforce(
-            code, args.l, args.t, workers=workers
+            code, args.l, args.t, workers=args.workers
         )
     if args.method in ("jacobi", "both"):
         reports = {"jacobi": design_check_jacobi(code, args.l, args.t), **reports}
@@ -273,8 +270,7 @@ def cmd_verify(args) -> int:
     if (args.p is None) != (args.m is None):
         raise ValueError("--p and --m must be given together")
     pairs = DEFAULT_PAIRS if args.p is None else ((args.p, args.k, args.m),)
-    workers = resolve_workers(args.workers)
-    results = run_checks(pairs, only=args.only or None, workers=workers)
+    results = run_checks(pairs, only=args.only or None, workers=args.workers)
     failures = sum(1 for r in results if r.status == "FAIL")
     out = {"results": [r.to_json_dict() for r in results], "failures": failures}
     pretty = [
@@ -291,11 +287,11 @@ def cmd_scan(args) -> int:
     """Write each pair's record, and flush it, as soon as the pair is
     checked; the exit code is known only after the last one."""
     bound = parse_bound(args.bound)
-    workers = resolve_workers(args.workers)
     bad = False
-    # closing: an early stop (a closed pipe, an interrupt) cancels the
-    # pairs not yet started; each result is dropped once its record is out
-    with closing(conjecture_scan(bound, workers=workers)) as results:
+    # closing: an early stop (a closed pipe, an interrupt) ends the pairs
+    # not yet written, running ones too; each result is dropped once its
+    # record is out
+    with closing(conjecture_scan(bound, workers=args.workers)) as results:
         for record in (res.to_json_dict() for res in results):
             print(json.dumps(record, sort_keys=False), flush=True)
             bad = bad or record["verdict"] == COUNTEREXAMPLE
@@ -346,12 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=1, help="extension degree (q = p^k)")
         p.add_argument("--m", type=int, required=True, help="dimension of the point space")
 
-    def add_common(p, outputs=("json", "pretty")):
+    def add_output(p, outputs=("json", "pretty")):
         p.add_argument("--output", choices=outputs, default="json")
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="worker processes (default: GRMJACOBI_WORKERS or 1)",
-        )
+
+    def add_workers(p):
+        p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
 
     pj = sub.add_parser("jacobi", help="Jacobi polynomial for a position set or class")
     add_code_args(pj)
@@ -363,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sub-case for |T|=4 rank-2 classes",
     )
     pj.add_argument("--method", choices=("brute", "closed", "both"), default="both")
-    add_common(pj)
+    add_output(pj)
     pj.set_defaults(fn=cmd_jacobi)
 
     pd = sub.add_parser("design", help="t-design verdict of a shell")
@@ -371,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--l", type=int, required=True, help="shell weight")
     pd.add_argument("--t", type=int, required=True, help="design strength")
     pd.add_argument("--method", choices=("jacobi", "brute", "both"), default="both")
-    add_common(pd, outputs=("json", "pretty", "csv"))
+    add_output(pd, outputs=("json", "pretty", "csv"))
+    add_workers(pd)
     pd.set_defaults(fn=cmd_design)
 
     pv = sub.add_parser("verify", help="run the closed-form cross-checks")
@@ -382,18 +378,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--only", action="append", metavar="CHECK",
         help=f"restrict to named checks; known: {', '.join(CHECKS)}",
     )
-    add_common(pv)
+    add_output(pv)
+    add_workers(pv)
     pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("scan", help="dual-shell scan (JSON lines, one per pair)")
     ps.add_argument("--bound", default="1e7", help="scan all q^(2m) < bound")
-    ps.add_argument("--workers", type=int, default=None)
+    add_workers(ps)
     ps.set_defaults(fn=cmd_scan)
 
     pe = sub.add_parser("enum", help="enumerated weight distribution")
     add_code_args(pe)
     pe.add_argument("--l", type=int, help="also list the codewords of this shell")
-    add_common(pe)
+    add_output(pe)
     pe.set_defaults(fn=cmd_enum)
 
     return parser
@@ -403,6 +400,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"worker count must be >= 1, got {args.workers}")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc.message}", file=sys.stderr)

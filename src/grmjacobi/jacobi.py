@@ -13,14 +13,12 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field
-from functools import cache, partial
-from itertools import islice, product
+from functools import cache
 from typing import Iterator
 
 from .grm import (
     COLLINEAR_TRIPLE,
     GENERIC,
-    Codeword,
     GrmCode,
     PointSet,
     TClass,
@@ -28,7 +26,6 @@ from .grm import (
     translate_T,
     _neg_point,
 )
-from ._parallel import run_chunks, split
 
 ExpKey = tuple[int, int, int, int]
 
@@ -172,111 +169,64 @@ def binom_conv(a_deg: int, alpha: int, b_deg: int) -> Iterator[int]:
         yield sum(u[i] * w for i, w in enumerate(window) if w)
 
 
-# -- brute-force Jacobi ----------------------------------------------------
+# -- brute-force Jacobi and count tables --------------------------------------
 
 
-def _brute_chunk(
-    code: GrmCode, points: PointSet, part: tuple[range, list | None]
-) -> dict[ExpKey, int]:
-    """Term counts of the codewords (lam, b) for every b and every
-    functional lam whose index in codewords() order lies in lams.
+def _value_counts(code: GrmCode, points: PointSet) -> list[list[int]]:
+    """Entry [i][j] counts the q^m functionals that take value j on exactly
+    i points of T: the one tally behind brute force and count tables.
 
-    part is (lams, columns).  Given columns, the points' functional values
-    at lams, each distinct value tuple is tallied once with its
-    multiplicity.  Without them every codeword is evaluated at every
-    position (the full scan).
+    Each point contributes its memoized column of functional values, and
+    each distinct value tuple is tallied once with its multiplicity.
     """
-    lams, columns = part
-    t, n, q = len(points), code.n, code.q
-    # A nonzero functional takes every value q^(m-1) times, so the weight
-    # of (lam, b) does not depend on b; for lam = 0 only b = 0 has weight 0.
-    mid_weight = (q - 1) * q ** (code.m - 1)
-    counts: dict[tuple[int, int], int] = {}  # (zeros on T, weight) -> codewords
-    if columns is None:
-        positions = [code.point_index(pt) for pt in points]
-        for lam in islice(product(range(q), repeat=code.m), lams.start, lams.stop):
-            rows = [code.value_row(Codeword(lam, b)) for b in range(q)]
-            for row in rows:
-                pair = (sum(1 for i in positions if not row[i]), sum(1 for v in row if v))
-                counts[pair] = counts.get(pair, 0) + 1
-    else:
-        value_tuples = Counter(zip(*columns) if columns else [()] * len(lams))
-        for values, mult in value_tuples.items():
-            # (lam, b) vanishes at u exactly when lam(u) = -b, so as b runs
-            # over GF(q) its zeros on T run over the tally of lam's values.
-            tally = [0] * q
-            for v in values:
-                tally[v] += 1
-            for zeros in tally:
-                pair = (zeros, mid_weight)
-                counts[pair] = counts.get(pair, 0) + mult
-        if lams.start == 0 and lams:
-            # the zero functional was counted above with mid_weight: its
-            # values are all 0, so b = 0 has t zeros on T and b != 0 none
-            counts[(t, mid_weight)] -= 1
-            counts[(0, mid_weight)] -= q - 1
-            counts[(t, 0)] = 1
-            counts[(0, n)] = q - 1
-    terms: dict[ExpKey, int] = {}
-    for (zeros, wt), c in counts.items():
-        if c:
-            m1 = t - zeros  # nonzero positions on T
-            n1 = wt - m1  # nonzero positions outside T
-            terms[(zeros, m1, (n - t) - n1, n1)] = c
-    return terms
+    t, q = len(points), code.q
+    require_budget(t * code.n, f"{t} points x {code.n} functional values")
+    columns = [code.functional_values(u) for u in points]
+    counts = [[0] * q for _ in range(t + 1)]
+    for values, mult in (Counter(zip(*columns)) if columns else {(): code.n}).items():
+        tally = [0] * q
+        for v in values:
+            tally[v] += 1
+        for j, hits in enumerate(tally):
+            counts[hits][j] += mult
+    return counts
 
 
 def jacobi_brute_force(
-    code: GrmCode,
-    points: PointSet,
-    full_scan: bool = False,
-    workers: int = 1,
+    code: GrmCode, points: PointSet, full_scan: bool = False
 ) -> JacobiPolynomial:
-    """Jacobi polynomial by iterating over every codeword.
+    """Jacobi polynomial by counting every codeword.
 
-    By default each point of T contributes its column of functional values
-    (O(t * q^m) memory in all), and the restricted weights of all q
-    codewords (lam, b) are read off the tally of lam's values on T; the
-    count of nonzero positions outside T comes from the structural weight.
-    full_scan=True instead evaluates every codeword at all q^m positions
-    and serves as the independent oracle for both shortcuts.  With several
-    workers the functional indices range(q^m) are split into chunks, each
-    handed its slice of the columns, whose counts are summed, so results do
-    not depend on the worker count.  T is checked first (_jacobi_brute
-    skips that, for subsets built from code.points()).
+    By default the functional tally of T (_value_counts, O(t * q^m)
+    work) gives the restricted weights: (lam, b) vanishes at u exactly
+    when lam(u) = -b, so row i of the tally sums to the number of
+    codewords with i zeros on T, and jacobi_from_a adds the structural
+    weight outside T.  No translation is needed.  full_scan=True instead
+    evaluates every codeword at all q^m positions and serves as the
+    independent oracle for that shortcut.  T is checked first
+    (_jacobi_brute skips that, for subsets built from code.points()).
     """
     code.require_points(points)
-    return _jacobi_brute(code, points, full_scan, workers)
+    return _jacobi_brute(code, points, full_scan)
 
 
 def _jacobi_brute(
-    code: GrmCode, points: PointSet, full_scan: bool = False, workers: int = 1
+    code: GrmCode, points: PointSet, full_scan: bool = False
 ) -> JacobiPolynomial:
-    t = len(points)
-    if full_scan:
-        code.require_scan_budget()
-        columns = None
-    else:
-        require_budget(t * code.n, f"{t} points x {code.n} functional values")
-        columns = [code.functional_values(u) for u in points]
-    chunk = partial(_brute_chunk, code, tuple(points))
-    lams = range(code.n)
-    if workers <= 1:
-        parts = [chunk((lams, columns))]
-    else:
-        slices = [
-            (r, None if columns is None else [col[r.start : r.stop] for col in columns])
-            for r in split(lams, workers)
-        ]
-        parts = run_chunks(chunk, slices, workers)
+    t, n, q = len(points), code.n, code.q
+    if not full_scan:
+        b = [sum(row) for row in _value_counts(code, points)]
+        return jacobi_from_a(a_from_b(b, t, q), q, code.m, t)
+    code.require_scan_budget()
+    positions = [code.point_index(pt) for pt in points]
     terms: dict[ExpKey, int] = {}
-    for part in parts:
-        for key, c in part.items():
-            terms[key] = terms.get(key, 0) + c
-    return JacobiPolynomial(t, code.n, terms)
-
-
-# -- count tables ----------------------------------------------------------
+    for c in code.codewords():
+        row = code.value_row(c)
+        zeros = sum(1 for i in positions if not row[i])  # zero positions on T
+        outside = sum(1 for v in row if v) - (t - zeros)  # nonzero positions outside T
+        key = (zeros, t - zeros, (n - t) - outside, outside)
+        terms[key] = terms.get(key, 0) + 1
+    return JacobiPolynomial(t, n, terms)
 
 
 @dataclass(frozen=True)
@@ -309,36 +259,30 @@ def a_from_b(b, t: int, q: int) -> tuple[int, ...]:
 
 
 def count_tables(code: GrmCode, points: PointSet) -> CountTables:
-    """Enumerate all q^m functionals and tally their value counts on T.
-
-    T is first translated so that its V-least point becomes 0; the Jacobi
-    polynomial assembled from the result is translation invariant.
+    """The functional tally of T, after T is checked (distinct points of
+    V; the empty T is allowed) and translated so that its V-least point
+    becomes 0.  Only b_by_value depends on the translation: its row sums
+    b, and the Jacobi polynomial assembled from a, do not.  The sweeps,
+    whose subsets are built from code.points(), call _count_tables.
     """
+    code.require_points(points)
+    return _count_tables(code, points)
+
+
+def _count_tables(code: GrmCode, points: PointSet) -> CountTables:
     t = len(points)
-    if len(set(points)) != t:
-        raise ValueError("points of T must be distinct")
-    require_budget(t * code.n, f"{t} points x {code.n} functional values")
-    f = code.field
     pts = tuple(sorted(points))
-    zero = tuple(0 for _ in range(code.m))
-    if pts[0] != zero:
-        pts = tuple(sorted(translate_T(f, pts, _neg_point(f, pts[0]))))
-    q = code.q
-    b_by_value = [[0] * q for _ in range(t + 1)]
-    columns = [code.functional_values(u) for u in pts]
-    for values, mult in Counter(zip(*columns)).items():
-        tally = [0] * q
-        for v in values:
-            tally[v] += 1
-        for j, hits in enumerate(tally):
-            b_by_value[hits][j] += mult
+    if pts and any(pts[0]):
+        f = code.field
+        pts = translate_T(f, pts, _neg_point(f, pts[0]))
+    b_by_value = _value_counts(code, pts)
     b = tuple(sum(row) for row in b_by_value)
     return CountTables(
         t=t,
-        q=q,
+        q=code.q,
         b_by_value=tuple(tuple(row) for row in b_by_value),
         b=b,
-        a=a_from_b(b, t, q),
+        a=a_from_b(b, t, code.q),
     )
 
 

@@ -203,9 +203,7 @@ def build_report(workers: int) -> tuple[dict, dict]:
         code = code_for(p, k, m)
         t_rank2 = class_witness(code, TClass(3, 2))
         t_rank1 = class_witness(code, TClass(3, 1))
-        diff = jacobi_brute_force(code, t_rank2, workers=workers) - jacobi_brute_force(
-            code, t_rank1, workers=workers
-        )
+        diff = jacobi_brute_force(code, t_rank2) - jacobi_brute_force(code, t_rank1)
         identity = rank_difference_identity(code.q, code.m)
         c6[pair_key(code)] = {
             "equal": diff == identity,
@@ -231,7 +229,7 @@ def build_report(workers: int) -> tuple[dict, dict]:
         primal = weight_enumerator(code).to_jacobi()
         dual = dual_jacobi(primal, code.size, q)
         pair_T = class_witness(code, TClass(2, 1))
-        jac = jacobi_brute_force(code, pair_T, workers=workers)
+        jac = jacobi_brute_force(code, pair_T)
         jac_dual = dual_jacobi(jac, code.size, q)
         c7[pair_key(code)] = {
             "dual_eval_is_dual_size": dual.evaluate(1, 1, 1, 1) == dual_size,

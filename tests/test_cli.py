@@ -346,7 +346,6 @@ def test_scan_error_midway_keeps_the_records_written(capsys, monkeypatch):
 
 def test_scan_exits_1_without_traceback_when_the_reader_goes_away():
     env = {**os.environ, "PYTHONPATH": str(Path(grmjacobi.__file__).parents[1])}
-    env.pop("GRMJACOBI_WORKERS", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "grmjacobi.cli", "scan", "--bound", "1e8"],
         env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -358,6 +357,32 @@ def test_scan_exits_1_without_traceback_when_the_reader_goes_away():
         assert "Traceback" not in proc.stderr.read().decode()
     finally:
         proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+def test_scan_early_stop_ends_its_workers_at_once():
+    # `scan --workers 2 | head -n 2`: the pool is terminated, running pairs
+    # included, so no worker outlives the command
+    env = {**os.environ, "PYTHONPATH": str(Path(grmjacobi.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grmjacobi.cli", "scan", "--bound", "1e8", "--workers", "2"],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        for _ in range(2):
+            json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        assert proc.wait(timeout=20) == 1
+        assert "Traceback" not in proc.stderr.read().decode()
+        with pytest.raises(ProcessLookupError):  # nothing is left in its session
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, 9)
+        except ProcessLookupError:
+            pass
         proc.wait()
         proc.stderr.close()
 
@@ -410,6 +435,33 @@ def test_work_beyond_budget_exit_1(capsys, argv):
 # ---------------------------------------------------------
 # usage errors and determinism
 # ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--p", "3", "--m", "2", "--l", "6", "--t", "2"],
+        ["verify", "--p", "2", "--m", "2", "--only", "jacobi-pairs"],
+        ["scan", "--bound", "1e4"],
+    ],
+)
+def test_workers_below_one_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--workers", "0"])
+    assert code == 1 and out == ""
+    assert err == "error: worker count must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jacobi", "--p", "3", "--m", "2", "--t-size", "2"],
+        ["enum", "--p", "3", "--m", "2"],
+    ],
+)
+def test_workers_only_where_a_pool_runs(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--workers", "2"])
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: unrecognized arguments: --workers 2"
 
 
 def test_missing_required_flag_exit_1(capsys):

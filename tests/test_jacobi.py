@@ -67,13 +67,6 @@ def test_fast_path_equals_full_scan():
                 assert fast == slow
 
 
-def test_brute_force_worker_count_does_not_matter(code_3_2):
-    T = ((0, 0), (1, 0), (0, 1))
-    for full_scan in (False, True):
-        one = jacobi_brute_force(code_3_2, T, full_scan=full_scan)
-        assert one == jacobi_brute_force(code_3_2, T, full_scan=full_scan, workers=3)
-
-
 def test_brute_force_builds_columns_once_in_the_caller(monkeypatch, code_3_2):
     T = ((0, 0), (1, 0), (0, 1))
     one = jacobi_brute_force(code_3_2, T)
@@ -85,7 +78,7 @@ def test_brute_force_builds_columns_once_in_the_caller(monkeypatch, code_3_2):
         return honest(self, u)
 
     monkeypatch.setattr(GrmCode, "functional_values", counting)
-    assert jacobi_brute_force(code_3_2, T, workers=2) == one
+    assert jacobi_brute_force(code_3_2, T) == one
     assert calls == list(T)
 
 
@@ -127,9 +120,9 @@ def test_brute_force_agrees_with_every_route(case):
     code, T = case
     brute = jacobi_brute_force(code, T)
     assert brute == jacobi_brute_force(code, T, full_scan=True)
+    assert brute == jacobi_from_a(count_tables(code, T).a, code.q, code.m, len(T))
     if 2 <= len(T) <= 4:
         assert brute == jacobi_closed_form(code, classify_T(code, T))
-        assert brute == jacobi_from_a(count_tables(code, T).a, code.q, code.m, len(T))
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -255,6 +248,23 @@ def test_count_tables_translates_first(code_3_2):
     with_zero = count_tables(code_3_2, ((0, 0), (1, 0), (0, 1)))
     shifted = count_tables(code_3_2, ((2, 2), (0, 2), (2, 0)))
     assert with_zero.b == shifted.b and with_zero.a == shifted.a
+
+
+def test_count_tables_checks_its_points():
+    for code, T in (
+        (get_code(3, 1, 2), ((0, 0), (3, 0))),  # 3 is not an element of GF(3)
+        (get_code(2, 2, 2), ((5, 0),)),  # nor 5 of GF(4)
+        (get_code(3, 1, 2), ((0, 1), (0, 1))),
+        (get_code(3, 1, 2), ((0, 1, 0),)),
+    ):
+        with pytest.raises(ValueError):
+            count_tables(code, T)
+
+
+def test_count_tables_of_the_empty_set(code_3_2):
+    tables = count_tables(code_3_2, ())
+    assert tables.b_by_value == ((9, 9, 9),)
+    assert tables.b == (27,) and tables.a == (24,)
 
 
 def test_closed_b_vectors_match_enumeration():

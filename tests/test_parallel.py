@@ -1,4 +1,4 @@
-import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -22,7 +22,7 @@ def test_split_is_contiguous_and_bounded():
 
 def test_cli_import_does_not_load_the_process_pool():
     # a one-worker run never starts a pool, so it should not pay for the import
-    probe = "import sys, grmjacobi.cli; print('concurrent.futures.process' in sys.modules)"
+    probe = "import sys, grmjacobi.cli; print('multiprocessing.pool' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(grmjacobi.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -31,27 +31,30 @@ def test_cli_import_does_not_load_the_process_pool():
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records its size and how it is
-    shut down, and maps lazily in this process, so no process starts."""
+    """Stands in for multiprocessing.Pool: records its size and how it is
+    stopped, and maps lazily in this process, so no process starts."""
 
     sizes: list = []
-    shutdowns: list = []
+    stops: list = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __init__(self, processes):
+        self.sizes.append(processes)
 
-    def map(self, fn, items):
+    def imap(self, fn, items):
         return map(fn, items)
 
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        self.shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
+    def terminate(self):
+        self.stops.append("terminate")
+
+    def join(self):
+        self.stops.append("join")
 
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(FakePool, "sizes", [])
-    monkeypatch.setattr(FakePool, "shutdowns", [])
+    monkeypatch.setattr(FakePool, "stops", [])
     return FakePool
 
 
@@ -60,6 +63,7 @@ def test_pool_size_is_capped_by_the_cpu_count(fake_pool):
     chunks = split(items, 10**6)
     assert list(run_chunks(sum, chunks, 10**6)) == [sum(chunk) for chunk in chunks]
     assert fake_pool.sizes == [min(len(chunks), os.cpu_count() or 1)]
+    assert fake_pool.stops == ["terminate", "join"]
 
 
 def test_run_chunks_is_lazy_at_one_worker():
@@ -86,7 +90,7 @@ def test_closing_run_chunks_early_cancels_pending_work(fake_pool):
     assert next(results) == 1
     results.close()
     assert calls == [1]
-    assert fake_pool.shutdowns == [{"wait": True, "cancel_futures": True}]
+    assert fake_pool.stops == ["terminate", "join"]
 
 
 def test_an_error_on_either_side_shuts_the_pool_down(fake_pool):
@@ -95,4 +99,5 @@ def test_an_error_on_either_side_shuts_the_pool_down(fake_pool):
     with pytest.raises(KeyError):  # raised by the caller, which drops the iterator
         for _ in run_chunks(abs, [1, 2, 3], 2):
             raise KeyError("caller stops")
-    assert fake_pool.shutdowns == [{"wait": True, "cancel_futures": True}] * 2
+    assert fake_pool.stops == ["terminate", "join"] * 2
+
