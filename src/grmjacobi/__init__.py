@@ -3,12 +3,14 @@ first-order generalized Reed-Muller codes over any prime-power field."""
 
 from .field import Field
 from .grm import (
+    CLASSES,
     COLLINEAR_TRIPLE,
     GENERIC,
     Codeword,
     GrmCode,
     TClass,
     class_witness,
+    classes_of_size,
     classify_T,
     closed_class_census,
     reachable_classes,

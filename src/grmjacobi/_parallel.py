@@ -13,6 +13,7 @@ exception pass through it) terminates the pool, running chunks included.
 from __future__ import annotations
 
 import os
+import signal
 from typing import Iterator
 
 
@@ -33,7 +34,9 @@ def run_chunks(fn, args_list: list, workers: int) -> Iterator:
     # imported here, so that a one-worker run never loads the pool machinery
     import multiprocessing
 
-    pool = multiprocessing.Pool(min(workers, len(args_list), os.cpu_count() or 1))
+    processes = min(workers, len(args_list), os.cpu_count() or 1)
+    # workers drop the parent's SIGTERM handler, so terminate() ends them at once
+    pool = multiprocessing.Pool(processes, signal.signal, (signal.SIGTERM, signal.SIG_DFL))
     try:
         yield from pool.imap(fn, args_list)
     finally:

@@ -21,6 +21,7 @@ from .grm import (
     GrmCode,
     TClass,
     class_witness,
+    classes_of_size,
     classify_T,
     closed_class_census,
     reachable_classes,
@@ -363,8 +364,7 @@ def check_difference_identity(code: GrmCode, workers: int = 1) -> CheckResult:
     q, m = code.q, code.m
     if q < 3 or m < 2 or q ** (m - 1) < 3:
         return _result("difference-identity", code, SKIP, "needs q >= 3 and m >= 2")
-    t_rank2 = class_witness(code, TClass(3, 2))
-    t_rank1 = class_witness(code, TClass(3, 1))
+    t_rank2, t_rank1 = (class_witness(code, cls) for cls in classes_of_size(3))
     diff = jacobi_brute_force(code, t_rank2) - jacobi_brute_force(code, t_rank1)
     if diff != rank_difference_identity(q, m):
         return _result("difference-identity", code, FAIL)
@@ -380,7 +380,7 @@ def check_dual_transform(code: GrmCode, workers: int = 1) -> CheckResult:
         return _result("dual-transform", code, FAIL, "dual size mismatch")
     if dual_jacobi(dual, dual_size, q) != primal:
         return _result("dual-transform", code, FAIL, "double transform not identity")
-    pair = class_witness(code, TClass(2, 1))
+    pair = class_witness(code, *classes_of_size(2))
     jac = jacobi_brute_force(code, pair)
     jac_dual = dual_jacobi(jac, code.size, q)
     if dual_jacobi(jac_dual, dual_size, q) != jac:
@@ -408,8 +408,7 @@ def check_dual_difference(code: GrmCode, workers: int = 1) -> CheckResult:
         return _result("dual-difference", code, SKIP, "needs q >= 3 and m >= 2")
     if code.n > 64:
         return _result("dual-difference", code, SKIP, "full expansion too large")
-    t_rank2 = class_witness(code, TClass(3, 2))
-    t_rank1 = class_witness(code, TClass(3, 1))
+    t_rank2, t_rank1 = (class_witness(code, cls) for cls in classes_of_size(3))
     lhs = dual_jacobi(
         jacobi_brute_force(code, t_rank2), code.size, q
     ) - dual_jacobi(jacobi_brute_force(code, t_rank1), code.size, q)

@@ -13,15 +13,17 @@ import argparse
 import json
 import os
 import re
+import signal
 import sys
+import threading
 from contextlib import closing
 
 from .field import Field
 from .grm import (
+    CLASSES,
     COLLINEAR_TRIPLE,
     GENERIC,
     GrmCode,
-    TClass,
     class_witness,
     classify_T,
     reachable_classes,
@@ -119,41 +121,26 @@ def _make_code(args) -> GrmCode:
 
 
 def _jacobi_targets(code: GrmCode, args):
-    """Resolve --points / --t-size [--rank [--subcase]] into a list of
-    (points, tclass) work items."""
+    """Resolve --points, or the reachable classes of --t-size that have the
+    --rank and --subcase given, into a list of (points, tclass) items."""
     if args.points:
         points = parse_points(args.points, code.m)
-        cls = classify_T(code, points) if 2 <= len(points) <= 4 else None
+        cls = classify_T(code, points) if len(points) in {c.t for c in CLASSES} else None
         return [(points, cls)]
     if args.t_size is None:
         raise ValueError("give either --points or --t-size")
-    t = args.t_size
-    if args.rank is None:
-        classes = reachable_classes(code, t)
-    else:
-        sub = None
-        if t == 4 and args.rank == 2:
-            if args.subcase is None:
-                classes = [
-                    TClass(4, 2, COLLINEAR_TRIPLE),
-                    TClass(4, 2, GENERIC),
-                ]
-                classes = [c for c in classes if class_witness(code, c)]
-                if not classes:
-                    raise ValueError("no rank-2 quadruple class at this (q, m)")
-                return [(class_witness(code, c), c) for c in classes]
-            sub = args.subcase
-        cls = TClass(t, args.rank, sub)
-        classes = [cls]
-    items = []
-    for cls in classes:
-        witness = class_witness(code, cls)
-        if witness is None:
-            raise ValueError(f"class {cls.label()} has no witness at q={code.q}, m={code.m}")
-        items.append((witness, cls))
-    if not items:
+    t, rank, sub = args.t_size, args.rank, args.subcase
+    items = [
+        (class_witness(code, cls), cls)
+        for cls in reachable_classes(code, t)
+        if rank in (None, cls.rank) and sub in (None, cls.subcase)
+    ]
+    if items:
+        return items
+    if rank is None and sub is None:
         raise ValueError(f"no size-{t} classes exist at q={code.q}, m={code.m}")
-    return items
+    wanted = f"t{t}" + (f"-rank{rank}" if rank is not None else "") + (f"-{sub}" if sub else "")
+    raise ValueError(f"class {wanted} has no witness at q={code.q}, m={code.m}")
 
 
 def cmd_jacobi(args) -> int:
@@ -396,8 +383,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    """Run one command; while it runs, a SIGTERM unwinds it (terminating any
+    pool) and exits 143.  Only the main thread can handle signals, so called
+    from another thread, main leaves SIGTERM alone."""
     parser = build_parser()
+    handles_sigterm = threading.current_thread() is threading.main_thread()
+    if handles_sigterm:
+        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "workers", 1) < 1:
@@ -416,6 +413,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
+    finally:
+        if handles_sigterm:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .field import Field
-from .grm import GrmCode, TClass, class_witness
+from .grm import GrmCode, class_witness, classes_of_size, require_budget
 from .jacobi import JacobiPolynomial, WeightEnumerator, binom_conv
 from ._parallel import run_chunks
 
@@ -192,7 +192,12 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 
 def scan_pairs(bound: int) -> list[tuple[int, int]]:
-    """All (q, m) with q >= 3 a prime power, m >= 1, q^(2m) < bound."""
+    """All (q, m) with q >= 3 a prime power, m >= 1, q^(2m) < bound.  The
+    candidates q <= isqrt(bound), at most isqrt(isqrt(bound)) trial divisors
+    each, must fit the work budget: bounds up to about 1.8e10 do."""
+    root = math.isqrt(bound)
+    divisors = math.isqrt(root)
+    require_budget(root * divisors, f"{root} candidates q x {divisors} trial divisors")
     pairs = []
     q = 3
     while q * q < bound:
@@ -226,7 +231,7 @@ def scan_pair(q: int, m: int) -> ScanResult:
             ),
         )
     code = GrmCode(Field(*pk), m)
-    for cls in (TClass(3, 2), TClass(3, 1)):
+    for cls in classes_of_size(3):
         if class_witness(code, cls) is None:
             return ScanResult(
                 q, m, SKIPPED, reason=f"no witness for class {cls.label()}"

@@ -17,12 +17,12 @@ from functools import partial
 from itertools import combinations
 
 from .grm import (
-    COLLINEAR_TRIPLE,
-    GENERIC,
+    CLASSES,
     GrmCode,
     PointSet,
     TClass,
     class_witness,
+    classes_of_size,
     closed_class_census,
     require_budget,
     _classify,
@@ -48,7 +48,7 @@ class DesignReport:
         return tuple(sorted(set(self.lambda_by_class.values())))
 
     def to_json_dict(self) -> dict:
-        classes = sorted(self.lambda_by_class, key=lambda c: (-c.rank, c.subcase or ""))
+        classes = [cls for cls in CLASSES if cls in self.lambda_by_class]
         return {
             "q": self.q,
             "m": self.m,
@@ -67,11 +67,6 @@ class DesignReport:
             "is_t_design": self.is_t_design,
             "trivial": self.trivial,
         }
-
-
-def _require_t(t: int) -> None:
-    if t not in (2, 3, 4):
-        raise ValueError(f"t must be in {{2, 3, 4}}, got {t}")
 
 
 def _require_weight(code: GrmCode, ell: int) -> None:
@@ -93,7 +88,7 @@ def design_check_jacobi(code: GrmCode, ell: int, t: int) -> DesignReport:
     coefficient of z^t x^(n-ell) y^(ell-t) in its class's polynomial, and
     the block count is read off the closed-form weight distribution.
     """
-    _require_t(t)
+    classes_of_size(t)
     _require_weight(code, ell)
     block_count = _require_blocks(
         code, ell, closed_weight_distribution(code.q, code.m).get(ell, 0)
@@ -122,7 +117,7 @@ def design_check_bruteforce(
     which would falsify the class-determines-count property the Jacobi
     route relies on.
     """
-    _require_t(t)
+    classes_of_size(t)
     _require_weight(code, ell)
     expected = closed_weight_distribution(code.q, code.m).get(ell, 0)
     require_budget(
@@ -237,26 +232,15 @@ class GeneralizedDesignParams:
         }
 
 
-_CLASS_ORDER = {
-    3: (TClass(3, 2), TClass(3, 1)),
-    4: (
-        TClass(4, 3),
-        TClass(4, 2, COLLINEAR_TRIPLE),
-        TClass(4, 2, GENERIC),
-        TClass(4, 1),
-    ),
-}
-
-
 def generalized_design_params(code: GrmCode, ell: int, t: int) -> GeneralizedDesignParams:
     """Parameters (v, k, (lambda_1, ..., lambda_N)) of the middle shell as a
-    generalized design, one lambda per T-class in a fixed class order.
+    generalized design, one lambda per T-class of size t, in CLASSES order.
 
     Class emptiness is decided by witness construction, never assumed from
     the formulas; a negative or undefined lambda is reported as-is so the
     caller can see exactly where the closed forms stop being counts.
     """
-    if t not in _CLASS_ORDER:
+    if t not in (3, 4):
         raise ValueError(f"generalized parameters support t in {{3, 4}}, got {t}")
     expected = (code.q - 1) * code.q ** (code.m - 1)
     if ell != expected:
@@ -264,7 +248,7 @@ def generalized_design_params(code: GrmCode, ell: int, t: int) -> GeneralizedDes
             f"generalized parameters apply to the middle shell l={expected}, got {ell}"
         )
     entries = []
-    for cls in _CLASS_ORDER[t]:
+    for cls in classes_of_size(t):
         try:
             lam = closed_form_a(cls, code.q, code.m)[t]
         except ValueError:

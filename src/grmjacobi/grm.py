@@ -17,6 +17,9 @@ sub-cases via the dependency c_1 d_1 + c_2 d_2 + c_3 d_3 = 0 that the same
 elimination yields: "collinear-triple" when some c_i = 0 or
 c_1 + c_2 + c_3 = 0 (three of the points lie on a line), "generic"
 otherwise.
+
+CLASSES is the one table of the paper's seven classes, which every other
+module reads, and classes_of_size(t) the one check that t is 2, 3 or 4.
 """
 
 from __future__ import annotations
@@ -62,6 +65,22 @@ class TClass(NamedTuple):
     def label(self) -> str:
         base = f"t{self.t}-rank{self.rank}"
         return base if self.subcase is None else f"{base}-{self.subcase}"
+
+
+# By size, then by falling rank, collinear-triple before generic.
+CLASSES = (
+    TClass(2, 1),
+    TClass(3, 2), TClass(3, 1),
+    TClass(4, 3), TClass(4, 2, COLLINEAR_TRIPLE), TClass(4, 2, GENERIC), TClass(4, 1),
+)
+
+
+def classes_of_size(t: int) -> tuple[TClass, ...]:
+    """The classes of t-point sets, in CLASSES order; refuses a t outside
+    the paper's sizes 2..4."""
+    if not 2 <= t <= 4:
+        raise ValueError(f"|T| must be in [2, 4], got {t}")
+    return tuple(cls for cls in CLASSES if cls.t == t)
 
 
 class GrmCode:
@@ -196,9 +215,7 @@ def classify_T(code: GrmCode, points: PointSet) -> TClass:
     """Classify a set of 2..4 distinct points by size, affine rank and,
     for four points of rank 2, the dependency sub-case, after checking T
     (see _classify)."""
-    t = len(points)
-    if not 2 <= t <= 4:
-        raise ValueError(f"|T| must be in [2, 4], got {t}")
+    classes_of_size(len(points))
     code.require_points(points)
     return _classify(code, points)
 
@@ -258,28 +275,22 @@ def closed_class_census(q: int, m: int, t: int) -> dict[TClass, int]:
     in exactly one plane and on none of its q(q+1) lines.  Every other
     subset has rank t - 1.
     """
-    if not 2 <= t <= 4:
-        raise ValueError(f"|T| must be in [2, 4], got {t}")
+    classes = classes_of_size(t)
     n = q**m
     lines = q ** (m - 1) * (n - 1) // (q - 1)
     rank1 = lines * comb(q, t)
     if t == 2:
-        sizes = {TClass(2, 1): rank1}
+        sizes = (rank1,)
     elif t == 3:
-        sizes = {TClass(3, 2): comb(n, 3) - rank1, TClass(3, 1): rank1}
+        sizes = (comb(n, 3) - rank1, rank1)
     else:
         planes = 0
         if m >= 2:
             planes = q ** (m - 2) * (n - 1) * (n // q - 1) // ((q * q - 1) * (q - 1))
         rank2 = planes * (comb(q * q, 4) - q * (q + 1) * comb(q, 4))
         collinear = lines * comb(q, 3) * (n - q)
-        sizes = {
-            TClass(4, 3): comb(n, 4) - rank2 - rank1,
-            TClass(4, 2, COLLINEAR_TRIPLE): collinear,
-            TClass(4, 2, GENERIC): rank2 - collinear,
-            TClass(4, 1): rank1,
-        }
-    return {cls: size for cls, size in sizes.items() if size}
+        sizes = (comb(n, 4) - rank2 - rank1, collinear, rank2 - collinear, rank1)
+    return {cls: size for cls, size in zip(classes, sizes) if size}
 
 
 def t_class_census(code: GrmCode, t: int) -> dict[TClass, int]:
@@ -291,8 +302,7 @@ def t_class_census(code: GrmCode, t: int) -> dict[TClass, int]:
     maps {S0 through 0} x V one-to-one onto the pairs (S, u in S), so a
     class with N0 subsets through 0 has n * N0 / t subsets in all.
     """
-    if not 2 <= t <= 4:
-        raise ValueError(f"|T| must be in [2, 4], got {t}")
+    classes_of_size(t)
     n = code.n
     require_budget(comb(n - 1, t - 1), f"C({n - 1}, {t - 1}) subsets through zero")
     through_zero = ((0,) + rest for rest in combinations(range(1, n), t - 1))
@@ -317,59 +327,33 @@ def _census_chunk(code: GrmCode, subsets) -> dict[TClass, int]:
     return census
 
 
+# Candidate witnesses per class: each point's first three coordinates, as
+# element indices (2 and 3 exist for q >= 3 and 4), the rest zero.
+_WITNESSES = dict(zip(CLASSES, (
+    ((0, 0, 0), (1, 0, 0)),
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+    ((0, 0, 0), (1, 0, 0), (2, 0, 0)),
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0)),  # dependency (2, 0, -1) has a zero
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),  # dependency (1, 1, -1): no zero, sum 1
+    ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)),
+)))
+
+
 def class_witness(code: GrmCode, tclass: TClass) -> PointSet | None:
     """A canonical point set of the requested class, or None when no such
-    set exists for this (q, m).  The construction is verified by
+    set exists for this (q, m): the class's candidate, when its indices
+    are elements of GF(q) and it fits in m coordinates, verified by
     _classify before being returned."""
     q, m = code.q, code.m
-    t, rank, sub = tclass.t, tclass.rank, tclass.subcase
-
-    def e(i: int) -> Point:
-        return tuple(1 if j == i else 0 for j in range(m))
-
-    def scale(c: int, p: Point) -> Point:
-        return tuple(code.field.mul(c, x) for x in p)
-
-    zero = tuple(0 for _ in range(m))
-    candidate: PointSet | None = None
-    if rank > min(t - 1, m):
+    points = _WITNESSES.get(tclass, ())
+    if not points or any(max(p) >= q or any(p[m:]) for p in points):
         return None
-    if t == 2 and rank == 1:
-        candidate = (zero, e(0))
-    elif t == 3 and rank == 2:
-        candidate = (zero, e(0), e(1))
-    elif t == 3 and rank == 1 and q >= 3:
-        candidate = (zero, e(0), scale(2, e(0)))
-    elif t == 4 and rank == 3 and m >= 3:
-        candidate = (zero, e(0), e(1), e(2))
-    elif t == 4 and rank == 2 and sub == COLLINEAR_TRIPLE and q >= 3:
-        # third difference = 2 * first: dependency (2, 0, -1) has a zero
-        candidate = (zero, e(0), e(1), scale(2, e(0)))
-    elif t == 4 and rank == 2 and sub == GENERIC:
-        # dependency (1, 1, -1): no zero, and its sum is 1 in any field
-        candidate = (zero, e(0), e(1), tuple(code.field.add(a, b) for a, b in zip(e(0), e(1))))
-    elif t == 4 and rank == 1 and q >= 4:
-        candidate = (zero, e(0), scale(2, e(0)), scale(3, e(0)))
-    if candidate is None:
-        return None
-    if len(set(candidate)) != t or _classify(code, candidate) != tclass:
-        return None
-    return candidate
+    candidate = tuple(p[:m] + (0,) * (m - 3) for p in points)
+    return candidate if _classify(code, candidate) == tclass else None
 
 
 def reachable_classes(code: GrmCode, t: int) -> list[TClass]:
-    """Classes with a verified witness at this (q, m), in a fixed order."""
-    if t == 2:
-        shapes = [TClass(2, 1)]
-    elif t == 3:
-        shapes = [TClass(3, 2), TClass(3, 1)]
-    elif t == 4:
-        shapes = [
-            TClass(4, 3),
-            TClass(4, 2, COLLINEAR_TRIPLE),
-            TClass(4, 2, GENERIC),
-            TClass(4, 1),
-        ]
-    else:
-        raise ValueError(f"|T| must be in [2, 4], got {t}")
-    return [cls for cls in shapes if class_witness(code, cls) is not None]
+    """The classes of size t that occur at this (q, m), that is, that have
+    a verified witness, in CLASSES order."""
+    return [cls for cls in classes_of_size(t) if class_witness(code, cls) is not None]

@@ -22,6 +22,7 @@ from .grm import (
     GrmCode,
     PointSet,
     TClass,
+    classes_of_size,
     require_budget,
     translate_T,
     _neg_point,
@@ -367,9 +368,8 @@ def closed_form_a(tclass: TClass, q: int, m: int) -> tuple[int, ...]:
             qb * (q - 1) * (4 * q - 8),
             (q - 1) * (qm - 3 * qa + 3 * qb - 1),
         )
-    if t == 4 and rank == 1:
-        return (qa - 1, 0, 0, 4 * (q - 1) * qa, (q - 1) * (qm - 3 * qa - 1))
-    raise ValueError(f"no closed form for class {tclass}")
+    # t4-rank1, the last of the classes _check_class admits
+    return (qa - 1, 0, 0, 4 * (q - 1) * qa, (q - 1) * (qm - 3 * qa - 1))
 
 
 @cache
@@ -390,18 +390,13 @@ def closed_form_b(tclass: TClass, q: int, m: int) -> tuple[int, ...]:
 
 
 def _check_class(tclass: TClass, q: int, m: int) -> None:
-    t, rank, sub = tclass.t, tclass.rank, tclass.subcase
-    if t not in (2, 3, 4):
-        raise ValueError(f"|T| must be in {{2, 3, 4}}, got {t}")
-    if q**m < t:
-        raise ValueError(f"code length {q**m} is smaller than |T| = {t}")
-    if not 1 <= rank <= min(t - 1, m):
-        raise ValueError(f"rank {rank} impossible for t={t}, m={m}")
-    if t == 4 and rank == 2:
-        if sub not in (COLLINEAR_TRIPLE, GENERIC):
-            raise ValueError("rank-2 quadruples need a sub-case")
-    elif sub is not None:
-        raise ValueError(f"unexpected sub-case for class {tclass}")
+    """Admit one of the paper's classes that fits in RM_q(1, m)."""
+    if tclass not in classes_of_size(tclass.t):
+        raise ValueError(f"no closed form for class {tclass}")
+    if q**m < tclass.t:
+        raise ValueError(f"code length {q**m} is smaller than |T| = {tclass.t}")
+    if tclass.rank > m:
+        raise ValueError(f"rank {tclass.rank} impossible for t={tclass.t}, m={m}")
 
 
 def jacobi_closed_form(code: GrmCode, tclass: TClass) -> JacobiPolynomial:

@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from importlib import resources
@@ -126,6 +128,21 @@ def test_jacobi_rank2_subcases(capsys):
     assert code == 0
     labels = [e["class"] for e in json.loads(out)["results"]]
     assert labels == ["t4-rank2-collinear-triple", "t4-rank2-generic"]
+
+
+def test_jacobi_subcase_alone_narrows_the_classes(capsys):
+    code, out, _ = run_cli(
+        capsys, ["jacobi", "--p", "3", "--m", "2", "--t-size", "4", "--subcase", "generic"]
+    )
+    assert code == 0
+    assert [e["class"] for e in json.loads(out)["results"]] == ["t4-rank2-generic"]
+
+
+def test_jacobi_selector_that_keeps_no_class_exit_1(capsys):
+    for argv in (["--t-size", "3", "--subcase", "generic"], ["--t-size", "2", "--rank", "2"]):
+        code, out, err = run_cli(capsys, ["jacobi", "--p", "3", "--m", "2", *argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_jacobi_bad_points_exit_1(capsys):
@@ -385,6 +402,54 @@ def test_scan_early_stop_ends_its_workers_at_once():
             pass
         proc.wait()
         proc.stderr.close()
+
+
+def test_scan_sigterm_exits_143_and_ends_its_workers():
+    env = {**os.environ, "PYTHONPATH": str(Path(grmjacobi.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grmjacobi.cli", "scan", "--bound", "1e8", "--workers", "2"],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        for _ in range(2):
+            json.loads(proc.stdout.readline())
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=20) == 143
+        assert "Traceback" not in proc.stderr.read().decode()
+        with pytest.raises(ProcessLookupError):  # no worker is left in its session
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, 9)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def test_main_restores_the_sigterm_handler(capsys):
+    before = signal.getsignal(signal.SIGTERM)
+    run_cli(capsys, ["scan", "--bound", "100"])
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_main_runs_outside_the_main_thread(capsys):
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(["scan", "--bound", "100"])))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and codes == [0]
+
+
+def test_scan_bound_beyond_the_pair_budget_exit_1(capsys):
+    for bound in ("1e13", "1e400"):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, ["scan", "--bound", bound])
+        assert time.monotonic() - start < 2.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
 
 
 def test_scan_bad_bound_exit_1(capsys):

@@ -24,6 +24,7 @@ from grmjacobi import (
     weight_enumerator,
 )
 from grmjacobi.conjecture import prime_power, scan_pair
+from grmjacobi.grm import BudgetExceeded
 
 from conftest import get_code
 
@@ -171,6 +172,13 @@ def test_scan_pairs_cover_expected_set():
     assert all(q ** (2 * m) < 10**4 for q, m in pairs)
     assert (2, 1) not in pairs and (2, 2) not in pairs  # q >= 3 only
     assert pairs == sorted(pairs)
+
+
+def test_scan_refuses_a_bound_beyond_its_pair_budget_at_the_call():
+    with pytest.raises(BudgetExceeded, match="trial divisors"):
+        conjecture_scan(10**13)
+    with pytest.raises(BudgetExceeded):
+        scan_pairs(10**400)
 
 
 def test_scan_pair_q3_m2_confirmed():

@@ -229,6 +229,12 @@ def test_generalized_params_t4_q4_m3_applicable():
     ]
 
 
+def test_jacobi_report_lists_its_classes_in_table_order():
+    report = design_check_jacobi(get_code(2, 2, 3), 48, 4).to_json_dict()
+    labels = [c["class"] for c in report["classes"]]
+    assert labels == [cls.label() for cls in grm.classes_of_size(4)]
+
+
 def test_generalized_params_validation(code_3_2):
     with pytest.raises(ValueError):
         generalized_design_params(code_3_2, 9, 3)  # not the middle shell

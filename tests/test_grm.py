@@ -226,6 +226,15 @@ def test_closed_census_sizes_are_positive_and_sum_to_all_subsets(q, m):
         closed_class_census(q, m, 5)
 
 
+def test_class_table_orders_every_size_like_the_closed_census():
+    for t in (2, 3, 4):
+        assert grm.classes_of_size(t) == tuple(closed_class_census(4, 3, t))
+    assert sum(map(grm.classes_of_size, (2, 3, 4)), ()) == grm.CLASSES
+    for t in (1, 5):
+        with pytest.raises(ValueError, match=r"\|T\| must be in \[2, 4\]"):
+            grm.classes_of_size(t)
+
+
 def test_witnesses_match_census_reachability(monkeypatch):
     monkeypatch.setattr(grm, "WORK_BUDGET", 10**5)
     for p, k, m in ((2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 3)):

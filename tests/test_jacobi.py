@@ -202,6 +202,16 @@ def test_rank2_quads_match_their_own_polynomial_only(code_3_2):
     assert jacobi_brute_force(code_3_2, collinear_T) == collinear
 
 
+def test_closed_form_a_admits_exactly_the_class_table():
+    for cls in grm.CLASSES:
+        assert len(closed_form_a(cls, 4, 3)) == cls.t + 1
+    for cls in (TClass(4, 2), TClass(3, 2, GENERIC), TClass(5, 1)):
+        with pytest.raises(ValueError):
+            closed_form_a(cls, 4, 3)
+    with pytest.raises(ValueError, match="rank 3"):
+        closed_form_a(TClass(4, 3), 4, 2)
+
+
 def test_closed_form_validation(code_3_2):
     with pytest.raises(ValueError):
         jacobi_closed_form(code_3_2, TClass(5, 1))

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -37,7 +38,7 @@ class FakePool:
     sizes: list = []
     stops: list = []
 
-    def __init__(self, processes):
+    def __init__(self, processes, *options):
         self.sizes.append(processes)
 
     def imap(self, fn, items):
@@ -101,3 +102,18 @@ def test_an_error_on_either_side_shuts_the_pool_down(fake_pool):
             raise KeyError("caller stops")
     assert fake_pool.stops == ["terminate", "join"] * 2
 
+
+
+def _parent_handler(signum, frame):
+    raise AssertionError("a worker ran its parent's SIGTERM handler")
+
+
+def test_workers_take_the_default_sigterm_action():
+    # the CLI handles SIGTERM; its forked workers must not, or terminate()
+    # would wait for each of them to unwind
+    previous = signal.signal(signal.SIGTERM, _parent_handler)
+    try:
+        seen = list(run_chunks(signal.getsignal, [signal.SIGTERM] * 2, 2))
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert seen == [signal.SIG_DFL] * 2
