@@ -20,18 +20,18 @@ from .grm import (
 from .jacobi import (
     CountTables,
     JacobiPolynomial,
-    WeightEnumerator,
     a_from_b,
     closed_form_a,
     closed_form_b,
     closed_weight_distribution,
     count_tables,
+    difference_degrees,
     dual_jacobi,
+    dual_rank_difference_identity,
     jacobi_brute_force,
     jacobi_closed_form,
     jacobi_from_a,
     rank_difference_identity,
-    weight_enumerator,
 )
 from .designs import (
     DesignReport,
@@ -49,7 +49,6 @@ from .conjecture import (
     ShellCheck,
     conjecture_scan,
     dual_diff_coefficient,
-    dual_rank_difference_identity,
     dual_weight_enumerator,
     scan_pairs,
 )

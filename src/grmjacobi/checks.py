@@ -18,6 +18,7 @@ from math import comb
 from .field import Field
 from .grm import (
     BudgetExceeded,
+    Codeword,
     GrmCode,
     TClass,
     class_witness,
@@ -25,6 +26,7 @@ from .grm import (
     classify_T,
     closed_class_census,
     reachable_classes,
+    require_budget,
     t_class_census,
     translate_T,
     _classify,
@@ -36,19 +38,15 @@ from .jacobi import (
     closed_weight_distribution,
     count_tables,
     dual_jacobi,
+    dual_rank_difference_identity,
     jacobi_brute_force,
     jacobi_from_a,
     rank_difference_identity,
-    weight_enumerator,
     _count_tables,
     _jacobi_brute,
 )
-from .conjecture import (
-    dual_diff_coefficient,
-    dual_rank_difference_identity,
-    dual_weight_enumerator,
-)
-from .designs import design_check_bruteforce, design_check_jacobi
+from .conjecture import dual_diff_coefficient, dual_weight_enumerator
+from .designs import design_check_bruteforce, design_check_jacobi, route_disagreement
 from ._parallel import run_chunks, split
 
 SAMPLE_SEED = 7_2024_08
@@ -104,8 +102,7 @@ def subsets_for_sweep(code: GrmCode, t: int, limit: int = FULL_SWEEP_LIMIT) -> t
 
 
 def _points_of(code: GrmCode, subset: tuple[int, ...]):
-    pts = code.points()
-    return tuple(pts[i] for i in subset)
+    return tuple(code.point(i) for i in subset)
 
 
 # -- chunked sweeps -----------------------------------------------------------
@@ -168,7 +165,7 @@ def _result(name, code, status, detail="", counterexample=None) -> CheckResult:
 
 
 def check_weight_enumerator(code: GrmCode, workers: int = 1) -> CheckResult:
-    got = weight_enumerator(code).counts
+    got = code.weight_distribution()
     expected = closed_weight_distribution(code.q, code.m)
     if got == expected:
         return _result("weight-enumerator", code, PASS, f"{len(got)} shells")
@@ -179,9 +176,11 @@ def check_weight_enumerator(code: GrmCode, workers: int = 1) -> CheckResult:
 
 
 def check_support_scalars(code: GrmCode, workers: int = 1) -> CheckResult:
-    from .grm import Codeword
-
     f = code.field
+    require_budget(
+        code.size * code.n * (code.q - 1),
+        f"{code.size} codewords x {code.n} positions x {code.q - 1} scalars",
+    )
     for c in code.codewords():
         base = code.support(c)
         for alpha in range(2, code.q):
@@ -263,22 +262,21 @@ def check_count_route(code: GrmCode, workers: int = 1) -> CheckResult:
 
 def check_translation_invariance(code: GrmCode, workers: int = 1) -> CheckResult:
     rng = random.Random(SAMPLE_SEED + 2)
-    pts = code.points()
     for t in (2, 3, 4):
         if code.n < t:
             continue
         for sub in sample_subsets(code.n, t, 12, seed=rng.randrange(2**30)):
             points = _points_of(code, sub)
             base = jacobi_brute_force(code, points)
-            shifts = rng.sample(range(code.n), min(4, code.n))
-            for vi in shifts:
-                shifted = translate_T(code.field, points, pts[vi])
+            shifts = [code.point(i) for i in rng.sample(range(code.n), min(4, code.n))]
+            for v in shifts:
+                shifted = translate_T(code.field, points, v)
                 if len(set(shifted)) != t:
                     continue
                 if jacobi_brute_force(code, shifted) != base:
                     return _result(
                         "translation-invariance", code, FAIL,
-                        counterexample={"T": list(sub), "shift": list(pts[vi])},
+                        counterexample={"T": list(sub), "shift": list(v)},
                     )
     return _result("translation-invariance", code, PASS, "sampled subsets and shifts")
 
@@ -286,7 +284,6 @@ def check_translation_invariance(code: GrmCode, workers: int = 1) -> CheckResult
 def check_classify_invariance(code: GrmCode, workers: int = 1) -> CheckResult:
     rng = random.Random(SAMPLE_SEED + 3)
     f = code.field
-    pts = code.points()
     for t in (2, 3, 4):
         if code.n < t:
             continue
@@ -302,7 +299,7 @@ def check_classify_invariance(code: GrmCode, workers: int = 1) -> CheckResult:
             # shifting by -u moves each u of T to zero in turn, so every
             # point serves as the base once; a few random shifts on top
             shifts = [tuple(f.neg(x) for x in p) for p in points]
-            shifts += [pts[i] for i in rng.sample(range(code.n), min(3, code.n))]
+            shifts += [code.point(i) for i in rng.sample(range(code.n), min(3, code.n))]
             for v in shifts:
                 shifted = translate_T(f, points, v)
                 if classify_T(code, shifted) != expected:
@@ -326,31 +323,9 @@ def _design_check(name: str, t: int):
         # check is skipped, before the Jacobi route runs
         via_blocks = design_check_bruteforce(code, ell, t, workers=workers)
         via_jacobi = design_check_jacobi(code, ell, t)
-        if via_jacobi.lambda_by_class != via_blocks.lambda_by_class:
-            return _result(
-                name, code, FAIL, "route disagreement",
-                counterexample={
-                    "jacobi": {c.label(): v for c, v in via_jacobi.lambda_by_class.items()},
-                    "blocks": {c.label(): v for c, v in via_blocks.lambda_by_class.items()},
-                },
-            )
-        if via_jacobi.class_counts != via_blocks.class_counts:
-            return _result(
-                name, code, FAIL, "census disagreement",
-                counterexample={
-                    "jacobi": {c.label(): v for c, v in via_jacobi.class_counts.items()},
-                    "blocks": {c.label(): v for c, v in via_blocks.class_counts.items()},
-                },
-            )
-        if via_jacobi.block_count != via_blocks.block_count:
-            return _result(
-                name, code, FAIL, "block count disagreement",
-                counterexample={
-                    "jacobi": via_jacobi.block_count, "blocks": via_blocks.block_count,
-                },
-            )
-        if via_jacobi.is_t_design != via_blocks.is_t_design:
-            return _result(name, code, FAIL, "verdict disagreement")
+        disagreement = route_disagreement(via_jacobi, via_blocks)
+        if disagreement is not None:
+            return _result(name, code, FAIL, *disagreement)
         verdict = "is" if via_jacobi.is_t_design else "is not"
         return _result(
             name, code, PASS,
@@ -360,20 +335,27 @@ def _design_check(name: str, t: int):
     return run
 
 
+def _witness_triples(code: GrmCode) -> tuple[JacobiPolynomial, JacobiPolynomial]:
+    """Brute-force polynomials of the rank-2 and the rank-1 triple witness,
+    the two sides of the triple difference."""
+    return tuple(
+        jacobi_brute_force(code, class_witness(code, cls)) for cls in classes_of_size(3)
+    )
+
+
 def check_difference_identity(code: GrmCode, workers: int = 1) -> CheckResult:
     q, m = code.q, code.m
-    if q < 3 or m < 2 or q ** (m - 1) < 3:
+    if q < 3 or m < 2:
         return _result("difference-identity", code, SKIP, "needs q >= 3 and m >= 2")
-    t_rank2, t_rank1 = (class_witness(code, cls) for cls in classes_of_size(3))
-    diff = jacobi_brute_force(code, t_rank2) - jacobi_brute_force(code, t_rank1)
-    if diff != rank_difference_identity(q, m):
+    rank2, rank1 = _witness_triples(code)
+    if rank2 - rank1 != rank_difference_identity(q, m):
         return _result("difference-identity", code, FAIL)
     return _result("difference-identity", code, PASS, "exact expansion matches")
 
 
 def check_dual_transform(code: GrmCode, workers: int = 1) -> CheckResult:
     q = code.q
-    primal = weight_enumerator(code).to_jacobi()
+    primal = jacobi_brute_force(code, (), full_scan=True)
     dual = dual_jacobi(primal, code.size, q)
     dual_size = q**code.n // code.size
     if dual.evaluate(1, 1, 1, 1) != dual_size:
@@ -391,27 +373,25 @@ def check_dual_transform(code: GrmCode, workers: int = 1) -> CheckResult:
 def check_dual_enumerator(code: GrmCode, workers: int = 1) -> CheckResult:
     q, m = code.q, code.m
     via_stream = dual_weight_enumerator(q, m)
-    primal = weight_enumerator(code).to_jacobi()
+    primal = jacobi_brute_force(code, (), full_scan=True)
     via_transform = dual_jacobi(primal, code.size, q)
     got = {ey: c for (_, _, _, ey), c in via_transform.terms.items()}
-    if got != via_stream.counts:
+    if got != via_stream:
         return _result(
             "dual-enumerator", code, FAIL,
-            counterexample={"stream": via_stream.counts, "transform": got},
+            counterexample={"stream": via_stream, "transform": got},
         )
     return _result("dual-enumerator", code, PASS, "streaming matches transform")
 
 
 def check_dual_difference(code: GrmCode, workers: int = 1) -> CheckResult:
     q, m = code.q, code.m
-    if q < 3 or m < 2 or q ** (m - 1) < 3:
+    if q < 3 or m < 2:
         return _result("dual-difference", code, SKIP, "needs q >= 3 and m >= 2")
     if code.n > 64:
         return _result("dual-difference", code, SKIP, "full expansion too large")
-    t_rank2, t_rank1 = (class_witness(code, cls) for cls in classes_of_size(3))
-    lhs = dual_jacobi(
-        jacobi_brute_force(code, t_rank2), code.size, q
-    ) - dual_jacobi(jacobi_brute_force(code, t_rank1), code.size, q)
+    rank2, rank1 = _witness_triples(code)
+    lhs = dual_jacobi(rank2, code.size, q) - dual_jacobi(rank1, code.size, q)
     rhs = dual_rank_difference_identity(q, m)
     if lhs != rhs:
         return _result("dual-difference", code, FAIL, "expansion mismatch")

@@ -33,6 +33,7 @@ from .designs import (
     design_check_bruteforce,
     design_check_jacobi,
     generalized_design_params,
+    route_disagreement,
 )
 from .conjecture import COUNTEREXAMPLE, conjecture_scan
 from .checks import CHECKS, DEFAULT_PAIRS, run_checks
@@ -205,11 +206,7 @@ def cmd_design(args) -> int:
         reports = {"jacobi": design_check_jacobi(code, args.l, args.t), **reports}
     agree = None
     if len(reports) == 2:
-        a, b = reports["jacobi"], reports["bruteforce"]
-        agree = (
-            a.lambda_by_class == b.lambda_by_class
-            and a.is_t_design == b.is_t_design
-        )
+        agree = route_disagreement(reports["jacobi"], reports["bruteforce"]) is None
     generalized = None
     if args.t in (3, 4) and args.l == (code.q - 1) * code.q ** (code.m - 1):
         generalized = generalized_design_params(code, args.l, args.t).to_json_dict()

@@ -17,7 +17,7 @@ below it can genuinely be 3-designs.
 Everything is exact big-integer arithmetic.  Every convolution is
 jacobi.binom_conv, which advances its binomials by exact multiply/divide
 and keeps a window of O(q^(m-1)) values; the dual weight enumerator still
-holds all q^m + 1 of a pair's counts, so memory per pair is O(q^m).
+holds up to q^m + 1 of a pair's counts, so memory per pair is O(q^m).
 conjecture_scan hands out its results lazily, in (q, m) order, so a
 caller can write each pair's record as it finishes and, at one worker,
 hold one pair's results at a time.
@@ -31,7 +31,7 @@ from typing import Iterator
 
 from .field import Field
 from .grm import GrmCode, class_witness, classes_of_size, require_budget
-from .jacobi import JacobiPolynomial, WeightEnumerator, binom_conv
+from .jacobi import binom_conv, difference_degrees
 from ._parallel import run_chunks
 
 CONFIRMED = "CONFIRMED"
@@ -82,9 +82,10 @@ class ScanResult:
         return rec
 
 
-def dual_weight_enumerator(q: int, m: int) -> WeightEnumerator:
-    """Exact weight enumerator of the dual code, by transforming the
-    three-shell primal enumerator and dividing by the code size.
+def dual_weight_enumerator(q: int, m: int) -> dict[int, int]:
+    """Exact weight distribution of the dual code, weight -> count with
+    the zero counts left out, by transforming the three-shell primal
+    enumerator and dividing by the code size.
 
     Every coefficient must come out a nonnegative integer and the total
     must equal the dual code size; both are checked.
@@ -121,23 +122,17 @@ def dual_weight_enumerator(q: int, m: int) -> WeightEnumerator:
         total += quotient
     if total != q ** (n - m - 1):
         raise RuntimeError("dual enumerator total differs from dual code size")
-    return WeightEnumerator(n, counts)
+    return counts
 
 
 def dual_diff_coefficient(q: int, m: int, ell: int) -> int:
     """Coefficient of z^3 x^(q^m - l) y^(l - 3) in the dual difference
     polynomial; only the (-xz)^3 stratum of (wy - xz)^3 contributes, so it
     is a single signed binomial convolution."""
+    a_deg, b_deg = difference_degrees(q, m)
     n = q**m
     if not 3 <= ell <= n:
         raise ValueError(f"l must be in [3, {n}], got {ell}")
-    a_deg = q ** (m - 1) - 3
-    b_deg = (q - 1) * q ** (m - 1) - 3
-    if a_deg < 0 or b_deg < 0:
-        raise ValueError(
-            f"difference polynomial undefined at q={q}, m={m}: "
-            "it needs q^(m-1) >= 3"
-        )
     j = ell - 3
     if j > a_deg + b_deg:
         return 0  # above the stratum's top y-degree
@@ -150,25 +145,6 @@ def dual_diff_coefficient(q: int, m: int, ell: int) -> int:
             * (-1) ** (j - i)
         )
     return -(q - 1) * total
-
-
-def dual_rank_difference_identity(q: int, m: int) -> JacobiPolynomial:
-    """Full four-variable expansion of the dual difference polynomial
-    (q-1)(x+(q-1)y)^(q^(m-1)-3) (x-y)^((q-1)q^(m-1)-3) (wy-xz)^3."""
-    a_deg = q ** (m - 1) - 3
-    b_deg = (q - 1) * q ** (m - 1) - 3
-    if m < 2 or a_deg < 0 or b_deg < 0:
-        raise ValueError(f"identity undefined at q={q}, m={m}")
-    n = q**m
-    conv = list(binom_conv(a_deg, q - 1, b_deg))
-    terms: dict[tuple[int, int, int, int], int] = {}
-    for k in range(4):
-        factor = (q - 1) * math.comb(3, k) * (-1) ** (3 - k)
-        for j, cj in enumerate(conv):
-            if cj:
-                key = (k, 3 - k, (3 - k) + (a_deg + b_deg - j), k + j)
-                terms[key] = terms.get(key, 0) + factor * cj
-    return JacobiPolynomial(3, n, terms)
 
 
 # -- pair enumeration ----------------------------------------------------------
@@ -238,15 +214,14 @@ def scan_pair(q: int, m: int) -> ScanResult:
             )
     n = q**m
     enumerator = dual_weight_enumerator(q, m)
-    a_deg = q ** (m - 1) - 3
-    b_deg = (q - 1) * q ** (m - 1) - 3
+    a_deg, b_deg = difference_degrees(q, m)
     conv = binom_conv(a_deg, q - 1, b_deg)
     shells = []
     counterexample = None
     for ell in range(3, n + 1):
         in_range = ell <= n - 3
         coeff = -(q - 1) * next(conv) if in_range else 0
-        nonempty = enumerator.coefficient(ell) > 0
+        nonempty = ell in enumerator
         shells.append(ShellCheck(ell, nonempty, coeff, in_range))
         if in_range and nonempty and coeff == 0 and counterexample is None:
             counterexample = (ell, coeff)

@@ -69,6 +69,25 @@ class DesignReport:
         }
 
 
+def route_disagreement(
+    via_jacobi: DesignReport, via_blocks: DesignReport
+) -> tuple[str, dict | None] | None:
+    """The first thing on which the two routes' reports differ, in the
+    order lambdas, class sizes, block count, verdict, as a detail and a
+    payload holding both sides (none for the verdict); None when they
+    agree."""
+    for detail, value in (
+        ("route disagreement", lambda r: {c.label(): v for c, v in r.lambda_by_class.items()}),
+        ("census disagreement", lambda r: {c.label(): v for c, v in r.class_counts.items()}),
+        ("block count disagreement", lambda r: r.block_count),
+    ):
+        if value(via_jacobi) != value(via_blocks):
+            return detail, {"jacobi": value(via_jacobi), "blocks": value(via_blocks)}
+    if via_jacobi.is_t_design != via_blocks.is_t_design:
+        return "verdict disagreement", None
+    return None
+
+
 def _require_weight(code: GrmCode, ell: int) -> None:
     if not 0 <= ell <= code.n:
         raise ValueError(f"weight {ell} out of range [0, {code.n}]")

@@ -118,6 +118,15 @@ class GrmCode:
             self._points = [p for p in product(range(self.q), repeat=self.m)]
         return self._points
 
+    def point(self, i: int) -> Point:
+        """points()[i] without building the list: the base-q digits of i,
+        most significant first."""
+        digits = []
+        for _ in range(self.m):
+            i, digit = divmod(i, self.q)
+            digits.append(digit)
+        return tuple(reversed(digits))
+
     def point_index(self, point: Point) -> int:
         if self._point_index is None:
             self._point_index = {p: i for i, p in enumerate(self.points())}

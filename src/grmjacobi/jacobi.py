@@ -5,7 +5,8 @@ A Jacobi polynomial for a position set T of size t in a code of length n
 is stored sparsely as a map from exponent quadruples (e_w, e_z, e_x, e_y)
 to arbitrary-precision integer coefficients.  Every term satisfies
 e_w + e_z = t and e_x + e_y = n - t, and evaluating at (1, 1, 1, 1)
-returns the number of codewords.
+returns the number of codewords.  The polynomial of the empty T is the
+weight enumerator: x^(n-w) y^w counts the codewords of weight w.
 """
 
 from __future__ import annotations
@@ -101,41 +102,6 @@ class JacobiPolynomial:
                     factors.append(f"{name}^{e}")
             parts.append("*".join(factors) if factors else "1")
         return " + ".join(parts)
-
-
-@dataclass(frozen=True)
-class WeightEnumerator:
-    """Two-variable weight enumerator: weight -> count."""
-
-    n: int
-    counts: dict[int, int] = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for w, c in self.counts.items():
-            if not 0 <= w <= self.n:
-                raise ValueError(f"weight {w} out of range [0, {self.n}]")
-            if c < 0:
-                raise ValueError(f"negative count at weight {w}")
-            if c:
-                clean[w] = c
-        object.__setattr__(self, "counts", clean)
-
-    def coefficient(self, weight: int) -> int:
-        return self.counts.get(weight, 0)
-
-    def evaluate(self, x: int = 1, y: int = 1) -> int:
-        return sum(c * x ** (self.n - w) * y**w for w, c in self.counts.items())
-
-    def to_jacobi(self) -> JacobiPolynomial:
-        return JacobiPolynomial(
-            0, self.n, {(0, 0, self.n - w, w): c for w, c in self.counts.items()}
-        )
-
-
-def weight_enumerator(code: GrmCode) -> WeightEnumerator:
-    """Enumerated weight distribution (full position scans)."""
-    return WeightEnumerator(code.n, code.weight_distribution())
 
 
 def closed_weight_distribution(q: int, m: int) -> dict[int, int]:
@@ -447,19 +413,43 @@ def dual_jacobi(jac: JacobiPolynomial, code_size: int, q: int) -> JacobiPolynomi
     return JacobiPolynomial(t, n, terms)
 
 
-def rank_difference_identity(q: int, m: int) -> JacobiPolynomial:
-    """The exact difference between the rank-2 and rank-1 triple-point
-    Jacobi polynomials: -q^(m-2)(q-1) x^(q^(m-1)-3) y^((q-1)q^(m-1)-3)
-    (wy - xz)^3."""
-    if m < 2:
-        raise ValueError("identity needs m >= 2")
-    ax = q ** (m - 1) - 3
-    by = (q - 1) * q ** (m - 1) - 3
-    if ax < 0 or by < 0:
-        raise ValueError(f"identity undefined at q={q}, m={m}")
-    scale = -(q ** (m - 2)) * (q - 1)
+# -- the triple difference ---------------------------------------------------
+
+
+def difference_degrees(q: int, m: int) -> tuple[int, int]:
+    """(a, b) = (q^(m-1) - 3, (q-1)q^(m-1) - 3): the x- and y-degrees of
+    the cofactor of (wy - xz)^3 in the difference between the rank-2 and
+    rank-1 triple classes' Jacobi polynomials.  Both classes, and so the
+    difference, exist exactly when q >= 3 and m >= 2."""
+    if q < 3 or m < 2:
+        raise ValueError(
+            f"the triple difference needs q >= 3 and m >= 2, got q={q}, m={m}"
+        )
+    return q ** (m - 1) - 3, (q - 1) * q ** (m - 1) - 3
+
+
+def _times_cubed_difference(n: int, scale: int, xy) -> JacobiPolynomial:
+    """scale * P(x, y) * (wy - xz)^3 for |T| = 3 in length n, where P is
+    the form of degree n - 6 whose y^j coefficient is xy[j]."""
     terms: dict[ExpKey, int] = {}
     for k in range(4):
-        coeff = scale * math.comb(3, k) * (-1) ** (3 - k)
-        terms[(k, 3 - k, (3 - k) + ax, k + by)] = coeff
-    return JacobiPolynomial(3, q**m, terms)
+        factor = scale * math.comb(3, k) * (-1) ** (3 - k)
+        for j, cj in enumerate(xy):
+            if cj:
+                terms[(k, 3 - k, (3 - k) + (n - 6 - j), k + j)] = factor * cj
+    return JacobiPolynomial(3, n, terms)
+
+
+def rank_difference_identity(q: int, m: int) -> JacobiPolynomial:
+    """The exact difference between the rank-2 and rank-1 triple-point
+    Jacobi polynomials: -q^(m-2)(q-1) x^a y^b (wy - xz)^3, with (a, b)
+    from difference_degrees."""
+    _, b_deg = difference_degrees(q, m)
+    return _times_cubed_difference(q**m, -(q ** (m - 2)) * (q - 1), [0] * b_deg + [1])
+
+
+def dual_rank_difference_identity(q: int, m: int) -> JacobiPolynomial:
+    """The same difference for the dual code, fully expanded:
+    (q-1)(x + (q-1)y)^a (x - y)^b (wy - xz)^3."""
+    a_deg, b_deg = difference_degrees(q, m)
+    return _times_cubed_difference(q**m, q - 1, list(binom_conv(a_deg, q - 1, b_deg)))

@@ -32,7 +32,6 @@ from grmjacobi import (
     jacobi_brute_force,
     rank_difference_identity,
     t_class_census,
-    weight_enumerator,
 )
 from grmjacobi.checks import count_mismatch, jacobi_mismatch, sample_subsets, sweep
 from grmjacobi.cli import parse_bound
@@ -216,7 +215,7 @@ def build_report(workers: int) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     c7 = {}
     rm2 = code_for(2, 1, 2)
-    fixed = dual_jacobi(weight_enumerator(rm2).to_jacobi(), rm2.size, 2)
+    fixed = dual_jacobi(jacobi_brute_force(rm2, (), full_scan=True), rm2.size, 2)
     c7["fixed_case"] = {
         "dual_terms": fixed.to_records(),
         "is_repetition_enumerator": fixed
@@ -226,7 +225,7 @@ def build_report(workers: int) -> tuple[dict, dict]:
         code = code_for(p, k, m)
         q = code.q
         dual_size = q**code.n // code.size
-        primal = weight_enumerator(code).to_jacobi()
+        primal = jacobi_brute_force(code, (), full_scan=True)
         dual = dual_jacobi(primal, code.size, q)
         pair_T = class_witness(code, TClass(2, 1))
         jac = jacobi_brute_force(code, pair_T)

@@ -106,3 +106,30 @@ def test_points_are_checked_at_the_public_entries_only(monkeypatch):
         grm.classify_T(code, ((0, 0), (0, 0)))
     with pytest.raises(ValueError, match="does not lie in V"):
         jacobi.jacobi_brute_force(code, ((0, 0), (0, 3)))
+
+
+@pytest.mark.parametrize("pair", [(3, 1, 2), (2, 2, 2)])
+def test_every_enumerating_check_skips_beyond_the_budget(monkeypatch, pair):
+    # classify-invariance classifies a fixed sample and enumerates nothing
+    monkeypatch.setattr(grm, "WORK_BUDGET", 1)
+    results = run_checks(pairs=(pair,))
+    assert len(results) == len(CHECKS)
+    assert {r.name: r.status for r in results if r.status != "SKIP"} == {
+        "classify-invariance": "PASS"
+    }
+
+
+def test_sampled_checks_never_build_the_point_list(monkeypatch):
+    # 2^11 points: C(2048, 2) pairs is beyond the full sweep, so jacobi-pairs
+    # samples too; each sampled index is decoded into its point on its own
+    monkeypatch.setattr(GrmCode, "points", lambda self: pytest.fail("points() built"))
+    only = ["count-route", "translation-invariance", "classify-invariance", "jacobi-pairs"]
+    results = run_checks(pairs=((2, 1, 11),), only=only)
+    assert [r.status for r in results] == ["PASS"] * 4
+    assert results[-1].detail == "sampled sweep over 10000 subsets"
+
+
+@pytest.mark.parametrize("p,k,m", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 1)])
+def test_point_decodes_the_point_list(p, k, m):
+    code = GrmCode(Field(p, k), m)
+    assert [code.point(i) for i in range(code.n)] == code.points()

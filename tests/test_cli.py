@@ -232,6 +232,24 @@ def test_design_jacobi_route_needs_no_enumeration(capsys, schema):
     assert code == 1 and out == "" and "budget" in err
 
 
+@pytest.mark.parametrize("field", ["class_counts", "block_count"])
+def test_design_routes_disagree_on_sizes_exit_2(capsys, monkeypatch, field):
+    # the lambdas and the verdict still agree: only a size comparison sees it
+    honest = grmjacobi.cli.design_check_jacobi
+
+    def skewed(code, ell, t):
+        report = honest(code, ell, t)
+        if field == "block_count":
+            return replace(report, block_count=report.block_count + 1)
+        cls = next(iter(report.class_counts))
+        return replace(report, class_counts={**report.class_counts, cls: 0})
+
+    monkeypatch.setattr(grmjacobi.cli, "design_check_jacobi", skewed)
+    code, out, _ = run_cli(capsys, ["design", "--p", "3", "--m", "2", "--l", "6", "--t", "3"])
+    assert code == 2
+    assert json.loads(out)["agree"] is False
+
+
 def test_design_empty_shell_exit_1(capsys):
     code, _, err = run_cli(
         capsys, ["design", "--p", "3", "--m", "2", "--l", "5", "--t", "2"]

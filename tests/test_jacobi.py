@@ -16,12 +16,13 @@ from grmjacobi import (
     closed_form_a,
     closed_form_b,
     count_tables,
+    difference_degrees,
     dual_jacobi,
+    dual_rank_difference_identity,
     jacobi_brute_force,
     jacobi_closed_form,
     jacobi_from_a,
     rank_difference_identity,
-    weight_enumerator,
 )
 from grmjacobi import GrmCode, grm
 from grmjacobi.grm import BudgetExceeded
@@ -48,7 +49,7 @@ def test_empty_T_gives_weight_enumerator(code_3_2):
     assert jac == JacobiPolynomial(
         0, 9, {(0, 0, 9, 0): 1, (0, 0, 3, 6): 24, (0, 0, 0, 9): 2}
     )
-    assert jac == weight_enumerator(code_3_2).to_jacobi()
+    assert jac == jacobi_brute_force(code_3_2, (), full_scan=True)
 
 
 def test_single_point_preserves_code_size(code_3_2):
@@ -357,7 +358,7 @@ def test_binom_conv_equals_direct_double_sum(a, alpha, b):
 
 
 def test_dual_of_even_weight_code_is_repetition(code_2_2):
-    primal = weight_enumerator(code_2_2).to_jacobi()
+    primal = jacobi_brute_force(code_2_2, (), full_scan=True)
     assert primal == JacobiPolynomial(0, 4, {(0, 0, 4, 0): 1, (0, 0, 2, 2): 6, (0, 0, 0, 4): 1})
     dual = dual_jacobi(primal, 8, 2)
     assert dual == JacobiPolynomial(0, 4, {(0, 0, 4, 0): 1, (0, 0, 0, 4): 1})
@@ -439,3 +440,14 @@ def test_difference_identity_rejects_small_parameters():
         rank_difference_identity(3, 1)
     with pytest.raises(ValueError):
         rank_difference_identity(2, 2)  # q^(m-1) < 3
+    with pytest.raises(ValueError):
+        rank_difference_identity(2, 3)  # q = 2 has no rank-1 triple
+    with pytest.raises(ValueError):
+        dual_rank_difference_identity(2, 3)
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (4, 2), (3, 3), (5, 3), (9, 4)])
+def test_difference_degrees_fill_the_length(q, m):
+    a, b = difference_degrees(q, m)
+    assert (a, b) == (q ** (m - 1) - 3, (q - 1) * q ** (m - 1) - 3)
+    assert min(a, b) >= 0 and a + b + 6 == q**m
