@@ -1,10 +1,12 @@
 """Named cross-checks between enumeration and the closed forms.
 
-Each check runs against one code and reports PASS, FAIL (with a
-counterexample payload), or SKIP when its hypothesis does not apply at
-that (q, m).  The CLI `verify` command and the acceptance suite both run
-off this registry, so a falsified closed form surfaces identically in
-both places.
+Each check is a function of one code that returns only its verdict,
+`(status, detail[, counterexample])`: PASS, FAIL (with a counterexample
+payload), or SKIP when its hypothesis does not apply at that (q, m).
+`run_checks` names each verdict by its `CHECKS` key and turns a check
+that refuses work beyond the budget into a SKIP.  The CLI `verify`
+command and the acceptance suite both run off this registry, so a
+falsified closed form surfaces identically in both places.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .jacobi import (
     dual_rank_difference_identity,
     jacobi_brute_force,
     jacobi_from_a,
+    middle_shell_weight,
     rank_difference_identity,
     _count_tables,
     _jacobi_brute,
@@ -93,16 +96,28 @@ def sample_subsets(n: int, t: int, count: int, seed: int = SAMPLE_SEED) -> list[
     return sorted(seen)
 
 
-def subsets_for_sweep(code: GrmCode, t: int, limit: int = FULL_SWEEP_LIMIT) -> tuple[list[tuple[int, ...]], str]:
-    """Every t-subset when that fits the limit, else a deterministic
+def subsets_for_sweep(code: GrmCode, t: int) -> tuple[list[tuple[int, ...]], str]:
+    """Every t-subset when there are at most 10^6, else a deterministic
     10^4-subset sample; returns (subsets, mode)."""
-    if comb(code.n, t) <= limit:
+    if comb(code.n, t) <= FULL_SWEEP_LIMIT:
         return list(combinations(range(code.n), t)), "full"
     return sample_subsets(code.n, t, SAMPLE_SIZE), "sampled"
 
 
 def _points_of(code: GrmCode, subset: tuple[int, ...]):
     return tuple(code.point(i) for i in subset)
+
+
+def _sampled(code: GrmCode, rng: random.Random, count: int):
+    """Yield (t, subset, points) for up to `count` sampled t-subsets of each
+    size t = 2..4 that fits the code.  Each size's sample seed is drawn
+    from rng when the sampler reaches that size, so draws a caller makes
+    between subsets come in between, in the same order on every run."""
+    for t in (2, 3, 4):
+        if code.n < t:
+            continue
+        for sub in sample_subsets(code.n, t, count, seed=rng.randrange(2**30)):
+            yield t, sub, _points_of(code, sub)
 
 
 # -- chunked sweeps -----------------------------------------------------------
@@ -160,22 +175,15 @@ def sweep(code: GrmCode, subsets, compare, workers: int = 1) -> list[dict]:
 # -- individual checks ----------------------------------------------------------
 
 
-def _result(name, code, status, detail="", counterexample=None) -> CheckResult:
-    return CheckResult(name, code.q, code.m, status, detail, counterexample)
-
-
-def check_weight_enumerator(code: GrmCode, workers: int = 1) -> CheckResult:
+def check_weight_enumerator(code: GrmCode, workers: int = 1) -> tuple:
     got = code.weight_distribution()
     expected = closed_weight_distribution(code.q, code.m)
     if got == expected:
-        return _result("weight-enumerator", code, PASS, f"{len(got)} shells")
-    return _result(
-        "weight-enumerator", code, FAIL,
-        counterexample={"got": got, "expected": expected},
-    )
+        return PASS, f"{len(got)} shells"
+    return FAIL, "", {"got": got, "expected": expected}
 
 
-def check_support_scalars(code: GrmCode, workers: int = 1) -> CheckResult:
+def check_support_scalars(code: GrmCode, workers: int = 1) -> tuple:
     f = code.field
     require_budget(
         code.size * code.n * (code.q - 1),
@@ -186,14 +194,11 @@ def check_support_scalars(code: GrmCode, workers: int = 1) -> CheckResult:
         for alpha in range(2, code.q):
             scaled = Codeword(tuple(f.mul(alpha, x) for x in c.lam), f.mul(alpha, c.b))
             if code.support(scaled) != base:
-                return _result(
-                    "support-scalars", code, FAIL,
-                    counterexample={"lam": list(c.lam), "b": c.b, "alpha": alpha},
-                )
-    return _result("support-scalars", code, PASS, f"{code.size} codewords")
+                return FAIL, "", {"lam": list(c.lam), "b": c.b, "alpha": alpha}
+    return PASS, f"{code.size} codewords"
 
 
-def _census_failure(name: str, code: GrmCode) -> CheckResult | None:
+def _census_failure(code: GrmCode) -> tuple | None:
     """The enumerated size-4 class census must equal the closed-form one,
     class sizes included, and reach exactly the witness-backed classes; a
     census beyond 2 * 10^6 subsets is not run, and so proves nothing
@@ -203,134 +208,91 @@ def _census_failure(name: str, code: GrmCode) -> CheckResult | None:
     census = t_class_census(code, 4)
     closed = closed_class_census(code.q, code.m, 4)
     if census != closed:
-        return _result(
-            name, code, FAIL, "closed census mismatch",
-            counterexample={
-                "census": {c.label(): v for c, v in census.items()},
-                "closed": {c.label(): v for c, v in closed.items()},
-            },
-        )
+        return FAIL, "closed census mismatch", {
+            "census": {c.label(): v for c, v in census.items()},
+            "closed": {c.label(): v for c, v in closed.items()},
+        }
     reached = set(census)
     expected = set(reachable_classes(code, 4))
     if reached == expected:
         return None
-    return _result(
-        name, code, FAIL, "class census mismatch",
-        counterexample={
-            "census": sorted(c.label() for c in reached),
-            "witnesses": sorted(c.label() for c in expected),
-        },
-    )
+    return FAIL, "class census mismatch", {
+        "census": sorted(c.label() for c in reached),
+        "witnesses": sorted(c.label() for c in expected),
+    }
 
 
-def _sweep_check(name: str, t: int, compare, census: bool = False):
-    def run(code: GrmCode, workers: int = 1) -> CheckResult:
+def _sweep_check(t: int, compare, census: bool = False):
+    def run(code: GrmCode, workers: int = 1) -> tuple:
         if code.n < t:
-            return _result(name, code, SKIP, f"code length {code.n} < {t}")
+            return SKIP, f"code length {code.n} < {t}"
         subsets, mode = subsets_for_sweep(code, t)
         mismatches = sweep(code, subsets, compare, workers=workers)
-        failure = _census_failure(name, code) if census else None
-        if failure is not None:
+        if census and (failure := _census_failure(code)) is not None:
             return failure
         if mismatches:
-            return _result(name, code, FAIL, f"{mode} sweep", counterexample=mismatches[0])
-        return _result(name, code, PASS, f"{mode} sweep over {len(subsets)} subsets")
+            return FAIL, f"{mode} sweep", mismatches[0]
+        return PASS, f"{mode} sweep over {len(subsets)} subsets"
 
     return run
 
 
-def check_count_route(code: GrmCode, workers: int = 1) -> CheckResult:
+def check_count_route(code: GrmCode, workers: int = 1) -> tuple:
     """count_tables -> a -> assembled polynomial must equal brute force,
     including for subsets that do not contain the zero point.  Both read
     the same functional tally, so this checks count_tables' translation;
     the tally's oracles are the closed forms and the full scan."""
-    rng = random.Random(SAMPLE_SEED + 1)
-    for t in (2, 3, 4):
-        if code.n < t:
-            continue
-        subsets = sample_subsets(code.n, t, 40, seed=rng.randrange(2**30))
-        for sub in subsets:
-            points = _points_of(code, sub)
-            assembled = jacobi_from_a(count_tables(code, points).a, code.q, code.m, t)
-            brute = jacobi_brute_force(code, points)
-            if assembled != brute:
-                return _result(
-                    "count-route", code, FAIL, counterexample={"T": list(sub), "t": t}
-                )
-    return _result("count-route", code, PASS, "sampled subsets, sizes 2-4")
+    for t, sub, points in _sampled(code, random.Random(SAMPLE_SEED + 1), 40):
+        assembled = jacobi_from_a(count_tables(code, points).a, code.q, code.m, t)
+        if assembled != jacobi_brute_force(code, points):
+            return FAIL, "", {"T": list(sub), "t": t}
+    return PASS, "sampled subsets, sizes 2-4"
 
 
-def check_translation_invariance(code: GrmCode, workers: int = 1) -> CheckResult:
+def check_translation_invariance(code: GrmCode, workers: int = 1) -> tuple:
     rng = random.Random(SAMPLE_SEED + 2)
-    for t in (2, 3, 4):
-        if code.n < t:
-            continue
-        for sub in sample_subsets(code.n, t, 12, seed=rng.randrange(2**30)):
-            points = _points_of(code, sub)
-            base = jacobi_brute_force(code, points)
-            shifts = [code.point(i) for i in rng.sample(range(code.n), min(4, code.n))]
-            for v in shifts:
-                shifted = translate_T(code.field, points, v)
-                if len(set(shifted)) != t:
-                    continue
-                if jacobi_brute_force(code, shifted) != base:
-                    return _result(
-                        "translation-invariance", code, FAIL,
-                        counterexample={"T": list(sub), "shift": list(v)},
-                    )
-    return _result("translation-invariance", code, PASS, "sampled subsets and shifts")
+    for t, sub, points in _sampled(code, rng, 12):
+        base = jacobi_brute_force(code, points)
+        shifts = [code.point(i) for i in rng.sample(range(code.n), min(4, code.n))]
+        for v in shifts:
+            shifted = translate_T(code.field, points, v)
+            if len(set(shifted)) == t and jacobi_brute_force(code, shifted) != base:
+                return FAIL, "", {"T": list(sub), "shift": list(v)}
+    return PASS, "sampled subsets and shifts"
 
 
-def check_classify_invariance(code: GrmCode, workers: int = 1) -> CheckResult:
+def check_classify_invariance(code: GrmCode, workers: int = 1) -> tuple:
     rng = random.Random(SAMPLE_SEED + 3)
     f = code.field
-    for t in (2, 3, 4):
-        if code.n < t:
-            continue
-        for sub in sample_subsets(code.n, t, 10, seed=rng.randrange(2**30)):
-            points = _points_of(code, sub)
-            expected = classify_T(code, points)
-            for ordering in permutations(points):
-                if classify_T(code, tuple(ordering)) != expected:
-                    return _result(
-                        "classify-invariance", code, FAIL, "ordering",
-                        counterexample={"T": list(sub)},
-                    )
-            # shifting by -u moves each u of T to zero in turn, so every
-            # point serves as the base once; a few random shifts on top
-            shifts = [tuple(f.neg(x) for x in p) for p in points]
-            shifts += [code.point(i) for i in rng.sample(range(code.n), min(3, code.n))]
-            for v in shifts:
-                shifted = translate_T(f, points, v)
-                if classify_T(code, shifted) != expected:
-                    return _result(
-                        "classify-invariance", code, FAIL, "translation",
-                        counterexample={"T": list(sub), "shift": list(v)},
-                    )
-    return _result("classify-invariance", code, PASS, "orderings and translations")
+    for _, sub, points in _sampled(code, rng, 10):
+        expected = classify_T(code, points)
+        for ordering in permutations(points):
+            if classify_T(code, tuple(ordering)) != expected:
+                return FAIL, "ordering", {"T": list(sub)}
+        # shifting by -u moves each u of T to zero in turn, so every
+        # point serves as the base once; a few random shifts on top
+        shifts = [tuple(f.neg(x) for x in p) for p in points]
+        shifts += [code.point(i) for i in rng.sample(range(code.n), min(3, code.n))]
+        for v in shifts:
+            if classify_T(code, translate_T(f, points, v)) != expected:
+                return FAIL, "translation", {"T": list(sub), "shift": list(v)}
+    return PASS, "orderings and translations"
 
 
-def _middle_shell(code: GrmCode) -> int:
-    return (code.q - 1) * code.q ** (code.m - 1)
-
-
-def _design_check(name: str, t: int):
-    def run(code: GrmCode, workers: int = 1) -> CheckResult:
-        ell = _middle_shell(code)
+def _design_check(t: int):
+    def run(code: GrmCode, workers: int = 1) -> tuple:
+        ell = middle_shell_weight(code.q, code.m)
         if code.n < t or ell < t:
-            return _result(name, code, SKIP, "middle shell smaller than t")
+            return SKIP, "middle shell smaller than t"
         # brute force first: beyond the work budget it refuses, and the
         # check is skipped, before the Jacobi route runs
         via_blocks = design_check_bruteforce(code, ell, t, workers=workers)
         via_jacobi = design_check_jacobi(code, ell, t)
         disagreement = route_disagreement(via_jacobi, via_blocks)
         if disagreement is not None:
-            return _result(name, code, FAIL, *disagreement)
+            return FAIL, *disagreement
         verdict = "is" if via_jacobi.is_t_design else "is not"
-        return _result(
-            name, code, PASS,
-            f"shell {ell} {verdict} a {t}-design; lambdas {via_jacobi.lambdas()}",
-        )
+        return PASS, f"shell {ell} {verdict} a {t}-design; lambdas {via_jacobi.lambdas()}"
 
     return run
 
@@ -343,84 +305,77 @@ def _witness_triples(code: GrmCode) -> tuple[JacobiPolynomial, JacobiPolynomial]
     )
 
 
-def check_difference_identity(code: GrmCode, workers: int = 1) -> CheckResult:
+def check_difference_identity(code: GrmCode, workers: int = 1) -> tuple:
     q, m = code.q, code.m
     if q < 3 or m < 2:
-        return _result("difference-identity", code, SKIP, "needs q >= 3 and m >= 2")
+        return SKIP, "needs q >= 3 and m >= 2"
     rank2, rank1 = _witness_triples(code)
     if rank2 - rank1 != rank_difference_identity(q, m):
-        return _result("difference-identity", code, FAIL)
-    return _result("difference-identity", code, PASS, "exact expansion matches")
+        return FAIL, ""
+    return PASS, "exact expansion matches"
 
 
-def check_dual_transform(code: GrmCode, workers: int = 1) -> CheckResult:
+def check_dual_transform(code: GrmCode, workers: int = 1) -> tuple:
     q = code.q
     primal = jacobi_brute_force(code, (), full_scan=True)
     dual = dual_jacobi(primal, code.size, q)
     dual_size = q**code.n // code.size
     if dual.evaluate(1, 1, 1, 1) != dual_size:
-        return _result("dual-transform", code, FAIL, "dual size mismatch")
+        return FAIL, "dual size mismatch"
     if dual_jacobi(dual, dual_size, q) != primal:
-        return _result("dual-transform", code, FAIL, "double transform not identity")
+        return FAIL, "double transform not identity"
     pair = class_witness(code, *classes_of_size(2))
     jac = jacobi_brute_force(code, pair)
     jac_dual = dual_jacobi(jac, code.size, q)
     if dual_jacobi(jac_dual, dual_size, q) != jac:
-        return _result("dual-transform", code, FAIL, "pair-set involution failed")
-    return _result("dual-transform", code, PASS, "involution and size checks")
+        return FAIL, "pair-set involution failed"
+    return PASS, "involution and size checks"
 
 
-def check_dual_enumerator(code: GrmCode, workers: int = 1) -> CheckResult:
+def check_dual_enumerator(code: GrmCode, workers: int = 1) -> tuple:
     q, m = code.q, code.m
     via_stream = dual_weight_enumerator(q, m)
     primal = jacobi_brute_force(code, (), full_scan=True)
     via_transform = dual_jacobi(primal, code.size, q)
     got = {ey: c for (_, _, _, ey), c in via_transform.terms.items()}
     if got != via_stream:
-        return _result(
-            "dual-enumerator", code, FAIL,
-            counterexample={"stream": via_stream, "transform": got},
-        )
-    return _result("dual-enumerator", code, PASS, "streaming matches transform")
+        return FAIL, "", {"stream": via_stream, "transform": got}
+    return PASS, "streaming matches transform"
 
 
-def check_dual_difference(code: GrmCode, workers: int = 1) -> CheckResult:
+def check_dual_difference(code: GrmCode, workers: int = 1) -> tuple:
     q, m = code.q, code.m
     if q < 3 or m < 2:
-        return _result("dual-difference", code, SKIP, "needs q >= 3 and m >= 2")
+        return SKIP, "needs q >= 3 and m >= 2"
     if code.n > 64:
-        return _result("dual-difference", code, SKIP, "full expansion too large")
+        return SKIP, "full expansion too large"
     rank2, rank1 = _witness_triples(code)
     lhs = dual_jacobi(rank2, code.size, q) - dual_jacobi(rank1, code.size, q)
-    rhs = dual_rank_difference_identity(q, m)
-    if lhs != rhs:
-        return _result("dual-difference", code, FAIL, "expansion mismatch")
+    if lhs != dual_rank_difference_identity(q, m):
+        return FAIL, "expansion mismatch"
     n = code.n
     for ell in range(3, n + 1):
         expected = lhs.coefficient(0, 3, n - ell, ell - 3)
         if dual_diff_coefficient(q, m, ell) != expected:
-            return _result(
-                "dual-difference", code, FAIL,
-                counterexample={"l": ell, "expected": str(expected)},
-            )
-    return _result("dual-difference", code, PASS, "identity and per-weight coefficients")
+            return FAIL, "", {"l": ell, "expected": str(expected)}
+    return PASS, "identity and per-weight coefficients"
 
 
 CHECKS: dict[str, object] = {
     "weight-enumerator": check_weight_enumerator,
     "support-scalars": check_support_scalars,
-    "jacobi-pairs": _sweep_check("jacobi-pairs", 2, jacobi_mismatch),
-    "jacobi-triples": _sweep_check("jacobi-triples", 3, jacobi_mismatch),
-    "jacobi-quads": _sweep_check("jacobi-quads", 4, jacobi_mismatch, census=True),
-    "count-tables-pairs": _sweep_check("count-tables-pairs", 2, count_mismatch),
-    "count-tables-triples": _sweep_check("count-tables-triples", 3, count_mismatch),
-    "count-tables-quads": _sweep_check("count-tables-quads", 4, count_mismatch),
+    "jacobi-pairs": _sweep_check(2, jacobi_mismatch),
+    "jacobi-triples": _sweep_check(3, jacobi_mismatch),
+    "jacobi-quads": _sweep_check(4, jacobi_mismatch, census=True),
+    "count-tables-pairs": _sweep_check(2, count_mismatch),
+    "count-tables-triples": _sweep_check(3, count_mismatch),
+    "count-tables-quads": _sweep_check(4, count_mismatch),
     "count-route": check_count_route,
     "translation-invariance": check_translation_invariance,
     "classify-invariance": check_classify_invariance,
-    "design-pairs": _design_check("design-pairs", 2),
-    "design-triples": _design_check("design-triples", 3),
-    "design-quads": _design_check("design-quads", 4),
+    "design-pairs": _design_check(2),
+    "design-triples": _design_check(3),
+    "design-quads": _design_check(4),
     "difference-identity": check_difference_identity,
     "dual-transform": check_dual_transform,
     "dual-enumerator": check_dual_enumerator,
@@ -441,8 +396,8 @@ def run_checks(
     pairs=DEFAULT_PAIRS, only=None, workers: int = 1
 ) -> list[CheckResult]:
     """Run the selected checks over each (p, k, m); results come back in
-    (pair, check) order.  A check whose enumeration exceeds the work
-    budget is reported as SKIP."""
+    (pair, check) order, each named by its CHECKS key.  A check whose
+    enumeration exceeds the work budget is reported as SKIP."""
     names = list(CHECKS) if not only else list(only)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
@@ -451,8 +406,10 @@ def run_checks(
     for p, k, m in pairs:
         code = GrmCode(Field(p, k), m)
         for name in names:
+            # looked up per call: a tracer may have replaced the entry
             try:
-                results.append(CHECKS[name](code, workers=workers))
+                verdict = CHECKS[name](code, workers=workers)
             except BudgetExceeded:
-                results.append(_result(name, code, SKIP, "beyond brute-force budget"))
+                verdict = SKIP, "beyond brute-force budget"
+            results.append(CheckResult(name, code.q, code.m, *verdict))
     return results

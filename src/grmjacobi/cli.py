@@ -28,7 +28,7 @@ from .grm import (
     classify_T,
     reachable_classes,
 )
-from .jacobi import JacobiPolynomial, jacobi_brute_force, jacobi_closed_form
+from .jacobi import JacobiPolynomial, jacobi_brute_force, jacobi_closed_form, middle_shell_weight
 from .designs import (
     design_check_bruteforce,
     design_check_jacobi,
@@ -170,17 +170,14 @@ def cmd_jacobi(args) -> int:
             entry["closed"] = _poly_json(closed)
             pretty.append(f"  closed: {closed.pretty()}")
         if args.method == "both":
-            diff = []
-            keys = set(brute.terms) | set(closed.terms)
-            for key in sorted(keys):
-                cb, cc = brute.terms.get(key, 0), closed.terms.get(key, 0)
-                if cb != cc:
-                    diff.append(
-                        {
-                            "e_w": key[0], "e_z": key[1], "e_x": key[2], "e_y": key[3],
-                            "brute": str(cb), "closed": str(cc),
-                        }
-                    )
+            diff = [
+                {
+                    "e_w": key[0], "e_z": key[1], "e_x": key[2], "e_y": key[3],
+                    "brute": str(brute.coefficient(*key)),
+                    "closed": str(closed.coefficient(*key)),
+                }
+                for key in sorted((brute - closed).terms)
+            ]
             entry["diff"] = diff
             pretty.append(f"  diff: {'EMPTY' if not diff else diff}")
             mismatch = mismatch or bool(diff)
@@ -208,7 +205,7 @@ def cmd_design(args) -> int:
     if len(reports) == 2:
         agree = route_disagreement(reports["jacobi"], reports["bruteforce"]) is None
     generalized = None
-    if args.t in (3, 4) and args.l == (code.q - 1) * code.q ** (code.m - 1):
+    if args.t in (3, 4) and args.l == middle_shell_weight(code.q, code.m):
         generalized = generalized_design_params(code, args.l, args.t).to_json_dict()
     out = {
         "q": code.q,

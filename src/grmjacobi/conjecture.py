@@ -31,7 +31,7 @@ from typing import Iterator
 
 from .field import Field
 from .grm import GrmCode, class_witness, classes_of_size, require_budget
-from .jacobi import binom_conv, difference_degrees
+from .jacobi import binom_conv, difference_degrees, middle_shell_weight
 from ._parallel import run_chunks
 
 CONFIRMED = "CONFIRMED"
@@ -95,12 +95,11 @@ def dual_weight_enumerator(q: int, m: int) -> dict[int, int]:
     n = q**m
     size = q ** (m + 1)
     mid = size - q
-    a_deg = q ** (m - 1)
     # The zero word, the size - q words of weight (q-1)q^(m-1) and the
     # q - 1 words of weight n transform to these three products.
     streams = zip(
         binom_conv(n, q - 1, 0),
-        binom_conv(a_deg, q - 1, (q - 1) * a_deg),
+        binom_conv(q ** (m - 1), q - 1, middle_shell_weight(q, m)),
         binom_conv(0, q - 1, n),
     )
     counts: dict[int, int] = {}

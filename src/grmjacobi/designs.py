@@ -27,7 +27,12 @@ from .grm import (
     require_budget,
     _classify,
 )
-from .jacobi import closed_form_a, closed_weight_distribution, jacobi_closed_form
+from .jacobi import (
+    closed_form_a,
+    closed_weight_distribution,
+    jacobi_closed_form,
+    middle_shell_weight,
+)
 from ._parallel import run_chunks, split
 
 
@@ -261,7 +266,7 @@ def generalized_design_params(code: GrmCode, ell: int, t: int) -> GeneralizedDes
     """
     if t not in (3, 4):
         raise ValueError(f"generalized parameters support t in {{3, 4}}, got {t}")
-    expected = (code.q - 1) * code.q ** (code.m - 1)
+    expected = middle_shell_weight(code.q, code.m)
     if ell != expected:
         raise ValueError(
             f"generalized parameters apply to the middle shell l={expected}, got {ell}"

@@ -67,13 +67,32 @@ def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
     return a
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        b = [c * inv % p for c in b]
-        a, b = b, _poly_mod(a, b, p)
-    return a
+def _poly_xgcd(a, b, p: int) -> tuple[list[int], list[int]]:
+    """The monic gcd g of a and a nonzero b over GF(p), and an s with
+    s * a = g (mod b): the extended Euclidean algorithm, cancelling one
+    leading term per step.  Each row (r, s) keeps r = s * a (mod b)."""
+    r0, s0 = _poly_trim(list(b)), []
+    r1, s1 = _poly_trim(list(a)), [1]
+    while len(r1) > 1:
+        if len(r0) < len(r1):
+            r0, s0, r1, s1 = r1, s1, r0, s0
+            continue
+        shift = len(r0) - len(r1)
+        c = r0[-1] * pow(r1[-1], p - 2, p) % p
+        r0 = _poly_sub_shifted(r0, c, r1, shift, p)
+        s0 = _poly_sub_shifted(s0, c, s1, shift, p)
+    # a row whose r is a nonzero constant makes the gcd 1
+    r, s = (r1, s1) if r1 else (r0, s0)
+    c = pow(r[-1], p - 2, p)
+    return [x * c % p for x in r], [x * c % p for x in s]
+
+
+def _poly_sub_shifted(u: list[int], c: int, v: list[int], shift: int, p: int) -> list[int]:
+    """u - c * x^shift * v over GF(p)."""
+    out = u + [0] * (len(v) + shift - len(u))
+    for i, y in enumerate(v):
+        out[i + shift] = (out[i + shift] - c * y) % p
+    return _poly_trim(out)
 
 
 def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
@@ -94,7 +113,7 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
         h = _poly_powmod(h, p, poly, p)
         d = h + [0] * (2 - len(h))
         d[1] = (d[1] - 1) % p
-        if len(_poly_gcd(poly, d, p)) > 1:
+        if len(_poly_xgcd(d, poly, p)[0]) > 1:
             return False
     return True
 
@@ -184,7 +203,8 @@ class Field:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         if self._inv_table is not None:
             return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        # a is prime to the irreducible modulus, so s * a = 1 (mod modulus)
+        return self.from_digits(_poly_xgcd(self.digits(a), self.modulus, self.p)[1])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -262,23 +282,40 @@ class Field:
     def _mul_raw(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        pa = list(self.digits(a))
-        pb = list(self.digits(b))
-        prod = _poly_mod(_poly_mul(pa, pb, self.p), list(self.modulus), self.p)
-        prod += [0] * (self.k - len(prod))
-        return self.from_digits(prod)
+        prod = _poly_mul(self.digits(a), self.digits(b), self.p)
+        return self.from_digits(_poly_mod(prod, self.modulus, self.p))
 
     def _build_tables(self) -> None:
-        q = self.q
-        self._add_table = add = [self._add_raw(a, b) for a in range(q) for b in range(q)]
-        self._mul_table = [self._mul_raw(a, b) for a in range(q) for b in range(q)]
-        self._neg_table = neg = [self._neg_raw(a) for a in range(q)]
+        """Tables equal to the raw operations without a raw operation per
+        entry: the addition table grows by one base-p digit at a time, and
+        the products and inverses are read off the powers of the least
+        primitive element g (no g^((q-1)/r) is 1 for a prime r | q-1)."""
+        q, p = self.q, self.p
+        rows, width = [[0]], 1
+        for _ in range(self.k):
+            rows = [
+                [(high + db) % p * width + x for db in range(p) for x in row]
+                for high in range(p)
+                for row in rows
+            ]
+            width *= p
+        self._add_table = add = [x for row in rows for x in row]
+        self._neg_table = neg = [row.index(0) for row in rows]
         self._sub_table = [add[a * q + neg[b]] for a in range(q) for b in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            # a^(q-2); exercised against mul in the test suite
-            inv[a] = self.pow(a, q - 2)
-        self._inv_table = inv
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+        g = next(g for g in range(1, q) if all(self.pow(g, (q - 1) // r) != 1 for r in primes))
+        power = [1]  # power[i] = g^i
+        for _ in range(q - 2):
+            power.append(self._mul_raw(power[-1], g))
+        log = [0] * q
+        for i, x in enumerate(power):
+            log[x] = i
+        power += power  # so a sum of two logs needs no reduction mod q - 1
+        nonzero_logs = log[1:]
+        self._mul_table = [0] * q
+        for la in nonzero_logs:
+            self._mul_table += [0] + [power[la + lb] for lb in nonzero_logs]
+        self._inv_table = [0] + [power[q - 1 - la] for la in nonzero_logs]
 
     def __eq__(self, other) -> bool:
         return (

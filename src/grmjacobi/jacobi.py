@@ -104,9 +104,14 @@ class JacobiPolynomial:
         return " + ".join(parts)
 
 
+def middle_shell_weight(q: int, m: int) -> int:
+    """(q-1)q^(m-1), the weight of every non-constant codeword."""
+    return (q - 1) * q ** (m - 1)
+
+
 def closed_weight_distribution(q: int, m: int) -> dict[int, int]:
     """The three-shell weight pattern of the affine evaluation code."""
-    return {0: 1, (q - 1) * q ** (m - 1): q ** (m + 1) - q, q**m: q - 1}
+    return {0: 1, middle_shell_weight(q, m): q ** (m + 1) - q, q**m: q - 1}
 
 
 # -- binomial convolution ------------------------------------------------
@@ -266,13 +271,12 @@ def jacobi_from_a(a, q: int, m: int, t: int) -> JacobiPolynomial:
     n = q**m
     if t > n:
         raise ValueError(f"|T| = {t} exceeds code length {n}")
-    w_mid = (q - 1) * q ** (m - 1)
     terms: dict[ExpKey, int] = {(t, 0, n - t, 0): 1}
     for i, ai in enumerate(a):
         if ai == 0:
             continue
         ex = q ** (m - 1) - (t - i)
-        ey = w_mid - i
+        ey = middle_shell_weight(q, m) - i
         if ex < 0 or ey < 0:
             raise ValueError(
                 f"stratum i={i} needs negative exponent at q={q}, m={m}, t={t}"
@@ -425,7 +429,7 @@ def difference_degrees(q: int, m: int) -> tuple[int, int]:
         raise ValueError(
             f"the triple difference needs q >= 3 and m >= 2, got q={q}, m={m}"
         )
-    return q ** (m - 1) - 3, (q - 1) * q ** (m - 1) - 3
+    return q ** (m - 1) - 3, middle_shell_weight(q, m) - 3
 
 
 def _times_cubed_difference(n: int, scale: int, xy) -> JacobiPolynomial:

@@ -9,6 +9,7 @@ from grmjacobi.checks import CHECKS, run_checks
 def test_full_registry_passes_at_q3_m2():
     results = run_checks(pairs=((3, 1, 2),))
     assert len(results) == len(CHECKS)
+    assert [r.name for r in results] == list(CHECKS)
     assert all(r.status == "PASS" for r in results), [
         (r.name, r.status, r.detail) for r in results if r.status != "PASS"
     ]

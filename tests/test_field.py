@@ -85,6 +85,28 @@ def test_large_extension_fields_build_fast(p, k):
         assert f.mul(a, f.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 5)])
+def test_tabled_fields_build_fast(p, k):
+    # the tables come from one addition per digit and the powers of a
+    # primitive element, not from a raw operation per entry
+    start = time.perf_counter()
+    f = Field(p, k)
+    assert time.perf_counter() - start < 0.5
+    assert f._mul_table is not None and len(f._mul_table) == f.q**2
+
+
+@pytest.mark.parametrize("p,k", [(2, 22), (2, 40), (3, 7)])
+def test_inverse_without_tables(p, k):
+    f = Field(p, k)
+    assert f._inv_table is None
+    for a in (1, 2, 3, p, f.q // 3, f.q // 2 + 1, f.q - 2, f.q - 1):
+        inverse = f.inv(a)
+        assert f.mul(a, inverse) == 1
+        assert inverse == f.pow(a, f.q - 2)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+
+
 def test_modulus_is_irreducible_for_all_small_fields():
     for p, k in SMALL_PRIME_POWERS:
         if k == 1:
@@ -247,21 +269,26 @@ def _check_row_kernels(f, ref, shifts):
 
 
 def test_untabled_field_matches_tabled_one():
-    # same arithmetic with and without lookup tables
-    for p, k in SMALL_PRIME_POWERS:
+    # same arithmetic with and without lookup tables; in the two largest
+    # tabled fields every 15th row of the add/sub/mul tables is compared,
+    # and the row kernels, which read the tables, only in the small ones
+    for p, k in SMALL_PRIME_POWERS + [(2, 8), (3, 5)]:
         f, raw = Field(p, k), Field(p, k)
         raw._add_table = raw._sub_table = raw._mul_table = None
         raw._neg_table = raw._inv_table = None
+        small = (p, k) in SMALL_PRIME_POWERS
         for a in f.elements():
             assert f.neg(a) == raw.neg(a) == raw._neg_raw(a)
+        for a in f.elements() if small else range(0, f.q, 15):
             for b in f.elements():
                 assert f.add(a, b) == raw._add_raw(a, b)
                 assert f.mul(a, b) == raw._mul_raw(a, b)
                 assert f.sub(a, b) == raw.sub(a, b)
         for a in range(1, f.q):
-            assert f.inv(a) == raw.pow(a, f.q - 2)
-        _check_row_kernels(f, raw, range(f.q))
-        _check_row_kernels(raw, raw, range(f.q))
+            assert f.inv(a) == raw.inv(a) == raw.pow(a, f.q - 2)
+        if small:
+            _check_row_kernels(f, raw, range(f.q))
+            _check_row_kernels(raw, raw, range(f.q))
 
 
 def test_untabled_field_kernels():
