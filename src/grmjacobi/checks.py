@@ -1,26 +1,30 @@
 """Named cross-checks between enumeration and the closed forms.
 
-Each check is a function of one code that returns only its verdict,
-`(status, detail[, counterexample])`: PASS, FAIL (with a counterexample
-payload), or SKIP when its hypothesis does not apply at that (q, m).
-`run_checks` names each verdict by its `CHECKS` key and turns a check
-that refuses work beyond the budget into a SKIP.  The CLI `verify`
-command and the acceptance suite both run off this registry, so a
+Each check is a function of one code and the run's SubsetPasses that
+returns only its verdict, `(status, detail[, counterexample])`: PASS, FAIL
+(with a counterexample payload), or SKIP when its hypothesis does not apply
+at that (q, m).  `run_checks` names each verdict by its `CHECKS` key and
+turns a check that refuses work beyond the budget into a SKIP.  The CLI
+`verify` command and the acceptance suite both run off this registry, so a
 falsified closed form surfaces identically in both places.
+
+The jacobi-, count-tables- and design- checks of one subset size t share
+one pass over the t-subsets per code: each subset is classified once, and
+only the requested compares run on it.  A jacobi- check compares the
+subset's restricted-weight vector with its class's closed form, which is
+the same as comparing the two Jacobi polynomials (see jacobi_mismatch).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 from .field import Field
 from .grm import (
     BudgetExceeded,
-    Codeword,
     GrmCode,
     TClass,
     class_witness,
@@ -31,10 +35,10 @@ from .grm import (
     require_budget,
     t_class_census,
     translate_T,
-    _classify,
 )
 from .jacobi import (
     JacobiPolynomial,
+    a_from_b,
     closed_form_a,
     closed_form_b,
     closed_weight_distribution,
@@ -46,11 +50,17 @@ from .jacobi import (
     middle_shell_weight,
     rank_difference_identity,
     _count_tables,
-    _jacobi_brute,
+    _value_counts,
 )
 from .conjecture import dual_diff_coefficient, dual_weight_enumerator
-from .designs import design_check_bruteforce, design_check_jacobi, route_disagreement
-from ._parallel import run_chunks, split
+from .designs import (
+    CountNotDetermined,
+    block_masks,
+    blocks_report,
+    design_check_jacobi,
+    route_disagreement,
+    subset_pass,
+)
 
 SAMPLE_SEED = 7_2024_08
 FULL_SWEEP_LIMIT = 10**6
@@ -120,20 +130,19 @@ def _sampled(code: GrmCode, rng: random.Random, count: int):
             yield t, sub, _points_of(code, sub)
 
 
-# -- chunked sweeps -----------------------------------------------------------
-
-
-@cache
-def _closed_polynomial(cls: TClass, q: int, m: int) -> JacobiPolynomial:
-    """The class's closed-form polynomial, built once per (class, q, m).
-    It is only compared, never handed out, so no caller can change it."""
-    return jacobi_from_a(closed_form_a(cls, q, m), q, m, cls.t)
+# -- the subset passes ---------------------------------------------------------
 
 
 def jacobi_mismatch(code: GrmCode, points, cls: TClass) -> dict | None:
-    """Brute-force vs closed-form polynomial of the subset's class (the
-    sweep's points are distinct points of V, so they are not checked)."""
-    if _jacobi_brute(code, points) != _closed_polynomial(cls, code.q, code.m):
+    """The subset's restricted-weight vector, from its functional tally,
+    vs the closed form of its class.  This compares their Jacobi
+    polynomials: jacobi_from_a puts each a_i alone on the monomial
+    w^(t-i) z^i x^(q^(m-1)-(t-i)) y^((q-1)q^(m-1)-i), which is neither
+    constant word's, so the polynomials are equal exactly when the vectors
+    are.  The sweep's points are distinct points of V, so they are not
+    checked."""
+    b = [sum(row) for row in _value_counts(code, points)]
+    if a_from_b(b, cls.t, code.q) != closed_form_a(cls, code.q, code.m):
         return {}
     return None
 
@@ -152,30 +161,77 @@ def count_mismatch(code: GrmCode, points, cls: TClass) -> dict | None:
     return None
 
 
-def _sweep_chunk(code: GrmCode, compare, subsets) -> list[dict]:
-    mismatches = []
-    for sub in subsets:
-        points = _points_of(code, sub)
-        cls = _classify(code, points)
-        extra = compare(code, points, cls)
-        if extra is not None:
-            mismatches.append({"T": list(sub), "class": cls.label(), **extra})
-    return mismatches
+# The checks that share the pass over the t-subsets are named
+# "<kind>-<word>", the word of size t: jacobi-pairs, design-quads, ...
+SIZE_WORDS = {2: "pairs", 3: "triples", 4: "quads"}
+COMPARES = {"jacobi": jacobi_mismatch, "count-tables": count_mismatch}
 
 
-def sweep(code: GrmCode, subsets, compare, workers: int = 1) -> list[dict]:
-    """Classify each subset and run compare(code, points, cls) on it; returns
-    the (hopefully empty) list of mismatches, each the subset, its class
-    and the extra fields compare returned."""
-    chunks = split(subsets, workers)
-    parts = run_chunks(partial(_sweep_chunk, code, compare), chunks, workers)
-    return [mismatch for part in parts for mismatch in part]
+class SubsetPasses:
+    """The passes over t-subsets that one run_checks call makes for one code.
+
+    The first jacobi-, count-tables- or design- check of size t to run
+    makes the one pass over the t-subsets (all of them, or the sample that
+    subsets_for_sweep draws) that serves every requested check of that
+    size; the others read what it found.  Each check's budget is asked
+    before the pass: a refused check is left out of it, and raises its
+    BudgetExceeded when it asks for its result.
+    """
+
+    def __init__(self, code: GrmCode, names, workers: int):
+        self.code = code
+        self.names = frozenset(names)
+        self.workers = workers
+        self._found: dict[int, tuple] = {}
+
+    def result(self, t: int, kind: str) -> tuple:
+        """(mode, number of subsets, found) for the check `kind` of size t,
+        where found is a compare's list of mismatch records, or for
+        "design" the pass's tally and the number of blocks."""
+        if t not in self._found:
+            self._found[t] = self._run(t)
+        mode, swept, found = self._found[t]
+        if isinstance(found[kind], BudgetExceeded):
+            raise found[kind]
+        return mode, swept, found[kind]
+
+    def _run(self, t: int) -> tuple:
+        code, word = self.code, SIZE_WORDS[t]
+        found: dict[str, object] = {}
+        compares = {}
+        for kind, compare in COMPARES.items():
+            if f"{kind}-{word}" in self.names:
+                try:
+                    # the tally's own budget, asked once before the pass
+                    require_budget(t * code.n, f"{t} points x {code.n} functional values")
+                    compares[kind] = compare
+                except BudgetExceeded as refusal:
+                    found[kind] = refusal
+        masks = None
+        ell = middle_shell_weight(code.q, code.m)
+        if f"design-{word}" in self.names and ell >= t:
+            try:
+                masks, blocks = block_masks(code, ell, t)
+            except BudgetExceeded as refusal:
+                found["design"] = refusal
+        if not compares and masks is None:
+            return None, 0, found
+        subsets, mode = subsets_for_sweep(code, t)
+        # A sweep samples only beyond 10^6 subsets, and C(n, t) > 10^6 makes
+        # C(n, t) times the q(n - 1) middle-shell blocks exceed the work
+        # budget, so the design route only ever rides on a full sweep.
+        assert masks is None or mode == "full", "design pass over a sample"
+        tally = subset_pass(code, subsets, tuple(compares.values()), masks, self.workers)
+        found.update(zip(compares, tally.mismatches))
+        if masks is not None:
+            found["design"] = tally, blocks
+        return mode, len(subsets), found
 
 
 # -- individual checks ----------------------------------------------------------
 
 
-def check_weight_enumerator(code: GrmCode, workers: int = 1) -> tuple:
+def check_weight_enumerator(code: GrmCode, passes: SubsetPasses) -> tuple:
     got = code.weight_distribution()
     expected = closed_weight_distribution(code.q, code.m)
     if got == expected:
@@ -183,19 +239,35 @@ def check_weight_enumerator(code: GrmCode, workers: int = 1) -> tuple:
     return FAIL, "", {"got": got, "expected": expected}
 
 
-def check_support_scalars(code: GrmCode, workers: int = 1) -> tuple:
+def check_support_scalars(code: GrmCode, passes: SubsetPasses) -> tuple:
+    """Every scalar multiple alpha * (lam, b) has the support of (lam, b).
+    The values lam(u) and (alpha lam)(u) are each evaluated once per
+    functional, the latter directly rather than as alpha * lam(u), and the
+    words are visited in (lam, b, alpha) order."""
     f = code.field
     require_budget(
         code.size * code.n * (code.q - 1),
         f"{code.size} codewords x {code.n} positions x {code.q - 1} scalars",
     )
-    for c in code.codewords():
-        base = code.support(c)
-        for alpha in range(2, code.q):
-            scaled = Codeword(tuple(f.mul(alpha, x) for x in c.lam), f.mul(alpha, c.b))
-            if code.support(scaled) != base:
-                return FAIL, "", {"lam": list(c.lam), "b": c.b, "alpha": alpha}
+    points = code.points()
+    for lam in product(f.elements(), repeat=code.m):
+        scaled = [
+            (alpha, [f.dot(f.scale(alpha, lam), u) for u in points])
+            for alpha in range(2, code.q)
+        ]
+        if not scaled:
+            break  # over GF(2) the only nonzero scalar is 1
+        values = [f.dot(lam, u) for u in points]
+        for b in f.elements():
+            support = _nonzero(f.outer_sum(values, (b,)))
+            for alpha, row in scaled:
+                if _nonzero(f.outer_sum(row, (f.mul(alpha, b),))) != support:
+                    return FAIL, "", {"lam": list(lam), "b": b, "alpha": alpha}
     return PASS, f"{code.size} codewords"
+
+
+def _nonzero(row) -> list[int]:
+    return [i for i, v in enumerate(row) if v]
 
 
 def _census_failure(code: GrmCode) -> tuple | None:
@@ -222,22 +294,21 @@ def _census_failure(code: GrmCode) -> tuple | None:
     }
 
 
-def _sweep_check(t: int, compare, census: bool = False):
-    def run(code: GrmCode, workers: int = 1) -> tuple:
+def _sweep_check(t: int, kind: str, census: bool = False):
+    def run(code: GrmCode, passes: SubsetPasses) -> tuple:
         if code.n < t:
             return SKIP, f"code length {code.n} < {t}"
-        subsets, mode = subsets_for_sweep(code, t)
-        mismatches = sweep(code, subsets, compare, workers=workers)
+        mode, swept, mismatches = passes.result(t, kind)
         if census and (failure := _census_failure(code)) is not None:
             return failure
         if mismatches:
             return FAIL, f"{mode} sweep", mismatches[0]
-        return PASS, f"{mode} sweep over {len(subsets)} subsets"
+        return PASS, f"{mode} sweep over {swept} subsets"
 
     return run
 
 
-def check_count_route(code: GrmCode, workers: int = 1) -> tuple:
+def check_count_route(code: GrmCode, passes: SubsetPasses) -> tuple:
     """count_tables -> a -> assembled polynomial must equal brute force,
     including for subsets that do not contain the zero point.  Both read
     the same functional tally, so this checks count_tables' translation;
@@ -249,7 +320,7 @@ def check_count_route(code: GrmCode, workers: int = 1) -> tuple:
     return PASS, "sampled subsets, sizes 2-4"
 
 
-def check_translation_invariance(code: GrmCode, workers: int = 1) -> tuple:
+def check_translation_invariance(code: GrmCode, passes: SubsetPasses) -> tuple:
     rng = random.Random(SAMPLE_SEED + 2)
     for t, sub, points in _sampled(code, rng, 12):
         base = jacobi_brute_force(code, points)
@@ -261,7 +332,7 @@ def check_translation_invariance(code: GrmCode, workers: int = 1) -> tuple:
     return PASS, "sampled subsets and shifts"
 
 
-def check_classify_invariance(code: GrmCode, workers: int = 1) -> tuple:
+def check_classify_invariance(code: GrmCode, passes: SubsetPasses) -> tuple:
     rng = random.Random(SAMPLE_SEED + 3)
     f = code.field
     for _, sub, points in _sampled(code, rng, 10):
@@ -280,13 +351,20 @@ def check_classify_invariance(code: GrmCode, workers: int = 1) -> tuple:
 
 
 def _design_check(t: int):
-    def run(code: GrmCode, workers: int = 1) -> tuple:
-        ell = middle_shell_weight(code.q, code.m)
-        if code.n < t or ell < t:
+    def run(code: GrmCode, passes: SubsetPasses) -> tuple:
+        ell = middle_shell_weight(code.q, code.m)  # at most n
+        if ell < t:
             return SKIP, "middle shell smaller than t"
         # brute force first: beyond the work budget it refuses, and the
         # check is skipped, before the Jacobi route runs
-        via_blocks = design_check_bruteforce(code, ell, t, workers=workers)
+        _, _, (tally, block_count) = passes.result(t, "design")
+        try:
+            via_blocks = blocks_report(code, ell, t, tally, block_count)
+        except CountNotDetermined as exc:
+            return FAIL, "class does not determine the count", {
+                "class": exc.cls.label(),
+                "counts": exc.counts,
+            }
         via_jacobi = design_check_jacobi(code, ell, t)
         disagreement = route_disagreement(via_jacobi, via_blocks)
         if disagreement is not None:
@@ -305,7 +383,7 @@ def _witness_triples(code: GrmCode) -> tuple[JacobiPolynomial, JacobiPolynomial]
     )
 
 
-def check_difference_identity(code: GrmCode, workers: int = 1) -> tuple:
+def check_difference_identity(code: GrmCode, passes: SubsetPasses) -> tuple:
     q, m = code.q, code.m
     if q < 3 or m < 2:
         return SKIP, "needs q >= 3 and m >= 2"
@@ -315,7 +393,7 @@ def check_difference_identity(code: GrmCode, workers: int = 1) -> tuple:
     return PASS, "exact expansion matches"
 
 
-def check_dual_transform(code: GrmCode, workers: int = 1) -> tuple:
+def check_dual_transform(code: GrmCode, passes: SubsetPasses) -> tuple:
     q = code.q
     primal = jacobi_brute_force(code, (), full_scan=True)
     dual = dual_jacobi(primal, code.size, q)
@@ -332,7 +410,7 @@ def check_dual_transform(code: GrmCode, workers: int = 1) -> tuple:
     return PASS, "involution and size checks"
 
 
-def check_dual_enumerator(code: GrmCode, workers: int = 1) -> tuple:
+def check_dual_enumerator(code: GrmCode, passes: SubsetPasses) -> tuple:
     q, m = code.q, code.m
     via_stream = dual_weight_enumerator(q, m)
     primal = jacobi_brute_force(code, (), full_scan=True)
@@ -343,7 +421,7 @@ def check_dual_enumerator(code: GrmCode, workers: int = 1) -> tuple:
     return PASS, "streaming matches transform"
 
 
-def check_dual_difference(code: GrmCode, workers: int = 1) -> tuple:
+def check_dual_difference(code: GrmCode, passes: SubsetPasses) -> tuple:
     q, m = code.q, code.m
     if q < 3 or m < 2:
         return SKIP, "needs q >= 3 and m >= 2"
@@ -364,12 +442,12 @@ def check_dual_difference(code: GrmCode, workers: int = 1) -> tuple:
 CHECKS: dict[str, object] = {
     "weight-enumerator": check_weight_enumerator,
     "support-scalars": check_support_scalars,
-    "jacobi-pairs": _sweep_check(2, jacobi_mismatch),
-    "jacobi-triples": _sweep_check(3, jacobi_mismatch),
-    "jacobi-quads": _sweep_check(4, jacobi_mismatch, census=True),
-    "count-tables-pairs": _sweep_check(2, count_mismatch),
-    "count-tables-triples": _sweep_check(3, count_mismatch),
-    "count-tables-quads": _sweep_check(4, count_mismatch),
+    "jacobi-pairs": _sweep_check(2, "jacobi"),
+    "jacobi-triples": _sweep_check(3, "jacobi"),
+    "jacobi-quads": _sweep_check(4, "jacobi", census=True),
+    "count-tables-pairs": _sweep_check(2, "count-tables"),
+    "count-tables-triples": _sweep_check(3, "count-tables"),
+    "count-tables-quads": _sweep_check(4, "count-tables"),
     "count-route": check_count_route,
     "translation-invariance": check_translation_invariance,
     "classify-invariance": check_classify_invariance,
@@ -397,7 +475,9 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the selected checks over each (p, k, m); results come back in
     (pair, check) order, each named by its CHECKS key.  A check whose
-    enumeration exceeds the work budget is reported as SKIP."""
+    enumeration exceeds the work budget is reported as SKIP.  The checks
+    of one code share one SubsetPasses, which lives only as long as that
+    code's checks run."""
     names = list(CHECKS) if not only else list(only)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
@@ -405,10 +485,11 @@ def run_checks(
     results = []
     for p, k, m in pairs:
         code = GrmCode(Field(p, k), m)
+        passes = SubsetPasses(code, names, workers)
         for name in names:
             # looked up per call: a tracer may have replaced the entry
             try:
-                verdict = CHECKS[name](code, workers=workers)
+                verdict = CHECKS[name](code, passes)
             except BudgetExceeded:
                 verdict = SKIP, "beyond brute-force budget"
             results.append(CheckResult(name, code.q, code.m, *verdict))

@@ -4,7 +4,9 @@ Two independent routes produce the same report shape: the Jacobi route
 reads the count of blocks through a t-subset off the closed-form
 polynomial of the subset's class and takes the class sizes from the
 closed-form census, so it enumerates nothing, while the brute-force route
-classifies every t-subset and counts supports directly.  Blocks are
+classifies every t-subset and counts supports directly.  Its one pass
+over the subsets, subset_pass, also carries `verify`'s per-subset
+compares, so that `verify` classifies each subset once.  Blocks are
 counted with multiplicity (scalar multiples of a codeword contribute
 separate blocks), so Jacobi coefficients equal block counts exactly.
 """
@@ -15,6 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
+from typing import NamedTuple
 
 from .grm import (
     CLASSES,
@@ -128,18 +131,56 @@ def design_check_jacobi(code: GrmCode, ell: int, t: int) -> DesignReport:
     return _finish_report(code, ell, t, "jacobi", lam, census, block_count)
 
 
+class SubsetTally(NamedTuple):
+    """What one subset_pass found: per compare, its mismatch records in
+    subset order; and, when block masks were given, per class (in order of
+    first occurrence) the set of block counts its subsets showed and the
+    number of its subsets."""
+
+    mismatches: tuple[list[dict], ...]
+    block_counts: dict[TClass, set[int]]
+    census: dict[TClass, int]
+
+
+class CountNotDetermined(RuntimeError):
+    """Two subsets of one class lie in different numbers of blocks, which
+    falsifies the class-determines-count property the Jacobi route relies
+    on."""
+
+    def __init__(self, cls: TClass, counts: list[int], ell: int, t: int):
+        super().__init__(
+            f"class {cls.label()} shows several block counts {counts} "
+            f"at l={ell}, t={t}: class does not determine the count"
+        )
+        self.cls = cls
+        self.counts = counts
+
+
 def design_check_bruteforce(
     code: GrmCode, ell: int, t: int, workers: int = 1
 ) -> DesignReport:
     """Design verdict by direct block counting over every t-subset.
 
+    Refuses before the shell is enumerated when the work is beyond the
+    budget (see block_masks).  The reported block count is that of the
+    enumerated shell.  Raises CountNotDetermined if two subsets of the
+    same class see different counts.
+    """
+    masks, block_count = block_masks(code, ell, t)
+    subsets = list(combinations(range(code.n), t))
+    tally = subset_pass(code, subsets, masks=masks, workers=workers)
+    return blocks_report(code, ell, t, tally, block_count)
+
+
+def block_masks(code: GrmCode, ell: int, t: int) -> tuple[list[int], int]:
+    """The blocks of the weight-ell shell as position masks, for counting
+    the blocks through each t-subset: bit j of masks[i] is set when block j
+    contains position i.  Returned with the number of blocks.
+
     Refuses (rather than truncates) before the shell is enumerated when
-    |subsets| x |blocks| exceeds the work budget, with |blocks| the
+    |t-subsets| x |blocks| exceeds the work budget, with |blocks| the
     closed-form shell size (at least 1, so an empty shell still reaches
-    its own error).  The reported block count is that of the enumerated
-    shell.  Raises if two subsets of the same class see different counts,
-    which would falsify the class-determines-count property the Jacobi
-    route relies on.
+    its own error).
     """
     classes_of_size(t)
     _require_weight(code, ell)
@@ -150,45 +191,78 @@ def design_check_bruteforce(
     )
     shell = code.shell(ell)
     block_count = _require_blocks(code, ell, len(shell))
-    # bit j of masks[i] is set when block j contains position i
     masks = [0] * code.n
     for j, c in enumerate(shell):
         for i, value in enumerate(code.value_row(c)):
             if value:
                 masks[i] |= 1 << j
-    subsets = list(combinations(range(code.n), t))
-    chunk = partial(_count_chunk, code, masks)
-    lam: dict[TClass, int] = {}
-    census: dict[TClass, int] = {}
-    for part_lam, part_census in run_chunks(chunk, split(subsets, workers), workers):
-        for cls, vals in part_lam.items():
-            seen = lam.get(cls)
-            merged = set(vals) | ({seen} if seen is not None else set())
-            if len(merged) > 1:
-                raise RuntimeError(
-                    f"class {cls.label()} shows several block counts {sorted(merged)} "
-                    f"at l={ell}, t={t}: class does not determine the count"
-                )
-            lam[cls] = merged.pop()
-        for cls, cnt in part_census.items():
-            census[cls] = census.get(cls, 0) + cnt
-    return _finish_report(code, ell, t, "bruteforce", lam, census, block_count)
+    return masks, block_count
 
 
-def _count_chunk(code: GrmCode, masks: list[int], subsets):
-    """Per class, the set of block counts seen, and the class sizes; the
-    blocks containing a subset are the set bits of its masks' AND."""
-    points = code.points()
-    lam: dict[TClass, set[int]] = {}
-    census: dict[TClass, int] = {}
+def subset_pass(
+    code: GrmCode, subsets, compares=(), masks=None, workers: int = 1
+) -> SubsetTally:
+    """One pass over subsets (tuples of position indices): each subset is
+    decoded and classified once, each compare(code, points, cls) runs on
+    it, and, given block masks, the blocks through it are counted.
+
+    A compare returns None, or the extra fields of the mismatch record
+    {"T": subset, "class": label, **extra}.  The chunks run on up to
+    `workers` processes and merge in subset order.
+    """
+    every = bool(subsets) and len(subsets) == math.comb(code.n, len(subsets[0]))
+    chunk = partial(_pass_chunk, code, compares, masks, every)
+    tally = SubsetTally(tuple([] for _ in compares), {}, {})
+    for part in run_chunks(chunk, split(subsets, workers), workers):
+        for found, more in zip(tally.mismatches, part.mismatches):
+            found.extend(more)
+        for cls, counts in part.block_counts.items():
+            tally.block_counts.setdefault(cls, set()).update(counts)
+        for cls, size in part.census.items():
+            tally.census[cls] = tally.census.get(cls, 0) + size
+    return tally
+
+
+def _pass_chunk(code: GrmCode, compares, masks, every: bool, subsets) -> SubsetTally:
+    # A pass over every t-subset reads each point many times, so it decodes
+    # through the point list; a sample decodes each index on its own, which
+    # at large n costs less than building the list.
+    decode = code.points().__getitem__ if every else code.point
+    tally = SubsetTally(tuple([] for _ in compares), {}, {})
     for sub in subsets:
-        common = masks[sub[0]]
-        for i in sub[1:]:
-            common &= masks[i]
-        cls = _classify(code, tuple(points[i] for i in sub))
-        lam.setdefault(cls, set()).add(common.bit_count())
-        census[cls] = census.get(cls, 0) + 1
-    return lam, census
+        points = tuple(map(decode, sub))
+        cls = _classify(code, points)
+        for found, compare in zip(tally.mismatches, compares):
+            extra = compare(code, points, cls)
+            if extra is not None:
+                found.append({"T": list(sub), "class": cls.label(), **extra})
+        if masks is not None:
+            tally.block_counts.setdefault(cls, set()).add(_blocks_through(masks, sub))
+            tally.census[cls] = tally.census.get(cls, 0) + 1
+    return tally
+
+
+def _blocks_through(masks: list[int], sub) -> int:
+    """The number of blocks containing every position of sub: the set bits
+    of its masks' AND."""
+    common = masks[sub[0]]
+    for i in sub[1:]:
+        common &= masks[i]
+    return common.bit_count()
+
+
+def blocks_report(
+    code: GrmCode, ell: int, t: int, tally: SubsetTally, block_count: int
+) -> DesignReport:
+    """The brute-force report from a subset_pass with block masks over every
+    t-subset; raises CountNotDetermined for the first class that showed
+    several block counts."""
+    lam = {}
+    for cls, counts in tally.block_counts.items():
+        if len(counts) > 1:
+            raise CountNotDetermined(cls, sorted(counts), ell, t)
+        (lam[cls],) = counts
+    return _finish_report(code, ell, t, "bruteforce", lam, tally.census, block_count)
 
 
 def _finish_report(code, ell, t, method, lam, census, block_count) -> DesignReport:

@@ -33,8 +33,9 @@ from grmjacobi import (
     rank_difference_identity,
     t_class_census,
 )
-from grmjacobi.checks import count_mismatch, jacobi_mismatch, sample_subsets, sweep
+from grmjacobi.checks import count_mismatch, jacobi_mismatch, sample_subsets
 from grmjacobi.cli import parse_bound
+from grmjacobi.designs import subset_pass
 
 # (p, k, m) for (q, m) in {(2,2), (2,3), (3,2), (3,3), (4,2), (5,2)}
 ACCEPTANCE_PAIRS = (
@@ -69,6 +70,11 @@ def pair_key(code: GrmCode) -> str:
 
 def census_json(census) -> dict:
     return {cls.label(): census[cls] for cls in sorted(census, key=lambda c: c.label())}
+
+
+def sweep(code: GrmCode, subsets, compare, workers: int) -> list[dict]:
+    """The mismatches of one compare over subsets, in subset order."""
+    return subset_pass(code, subsets, (compare,), workers=workers).mismatches[0]
 
 
 def quad_subsets(code: GrmCode):

@@ -1,9 +1,13 @@
+import json
+from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from grmjacobi import Field, GrmCode, checks, designs, grm, jacobi
 from grmjacobi.checks import CHECKS, run_checks
+from grmjacobi.cli import main
 
 
 def test_full_registry_passes_at_q3_m2():
@@ -134,3 +138,106 @@ def test_sampled_checks_never_build_the_point_list(monkeypatch):
 def test_point_decodes_the_point_list(p, k, m):
     code = GrmCode(Field(p, k), m)
     assert [code.point(i) for i in range(code.n)] == code.points()
+
+
+SUBSET_CHECKS = [name for name in CHECKS if name.split("-")[-1] in ("pairs", "triples", "quads")]
+
+
+def test_each_subset_is_classified_once_per_run(monkeypatch):
+    # 36 + 84 + 126 subsets, 56 quads through zero for the census and two
+    # quad witnesses: 304 classifications, where one pass per check made 796
+    honest = grm._classify
+    seen = {}
+
+    def counting(calls, code, points):
+        calls.append(points)
+        return honest(code, points)
+
+    for module in (grm, designs, checks):
+        calls = seen.setdefault(module.__name__, [])
+        monkeypatch.setattr(module, "_classify", partial(counting, calls), raising=False)
+    results = run_checks(pairs=((3, 1, 2),), only=SUBSET_CHECKS)
+    assert [r.status for r in results] == ["PASS"] * 9
+    assert sum(map(len, seen.values())) == 304
+    swept = Counter(seen["grmjacobi.designs"])
+    assert len(swept) == 36 + 84 + 126 and set(swept.values()) == {1}
+
+
+def test_one_pool_per_subset_size(monkeypatch):
+    honest = designs.run_chunks
+    chunks = []
+
+    def counting(fn, args_list, workers):
+        chunks.append(len(args_list))
+        return honest(fn, args_list, workers)
+
+    for module in (designs, checks):
+        monkeypatch.setattr(module, "run_chunks", counting, raising=False)
+    results = run_checks(pairs=((2, 2, 2),), workers=2)
+    assert all(r.status != "FAIL" for r in results)
+    assert len(chunks) == 3 and min(chunks) > 1
+
+
+def test_only_the_requested_compares_run(monkeypatch):
+    monkeypatch.setattr(checks, "_count_tables", lambda *a: pytest.fail("count tables ran"))
+    monkeypatch.setattr(GrmCode, "shell", lambda self, ell: pytest.fail("shell enumerated"))
+    (result,) = run_checks(pairs=((3, 1, 2),), only=["jacobi-quads"])
+    assert result.status == "PASS"
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "_value_counts", lambda *a: pytest.fail("tally ran"))
+    monkeypatch.setattr(jacobi, "_value_counts", lambda *a: pytest.fail("tally ran"))
+    (result,) = run_checks(pairs=((3, 1, 2),), only=["design-quads"])
+    assert result.status == "PASS"
+
+
+def test_a_design_refusal_skips_only_the_design_check(monkeypatch):
+    # C(9, 3) x 24 blocks is one past the budget; the tally's 3 x 9 is not
+    monkeypatch.setattr(grm, "WORK_BUDGET", 84 * 24 - 1)
+    only = ["jacobi-triples", "count-tables-triples", "design-triples"]
+    results = run_checks(pairs=((3, 1, 2),), only=only)
+    assert [(r.status, r.detail) for r in results] == [
+        ("PASS", "full sweep over 84 subsets"),
+        ("PASS", "full sweep over 84 subsets"),
+        ("SKIP", "beyond brute-force budget"),
+    ]
+
+
+def test_a_skewed_b_vector_fails_only_count_tables(monkeypatch):
+    honest = checks.closed_form_b
+
+    def skewed(cls, q, m):
+        b = honest(cls, q, m)
+        return (b[0] + 1,) + b[1:]
+
+    monkeypatch.setattr(checks, "closed_form_b", skewed)
+    only = ["jacobi-pairs", "count-tables-pairs", "design-pairs"]
+    results = run_checks(pairs=((3, 1, 2),), only=only)
+    assert [r.status for r in results] == ["PASS", "FAIL", "PASS"]
+    assert results[1].counterexample["kind"] == "b"
+
+
+def test_a_class_that_does_not_determine_the_count_fails_verify(monkeypatch, capsys):
+    # every triple called rank 2: the collinear ones lie in other blocks
+    monkeypatch.setattr(designs, "_classify", lambda code, points: grm.TClass(3, 2))
+    code = GrmCode(Field(3), 2)
+    with pytest.raises(designs.CountNotDetermined, match="does not determine the count"):
+        designs.design_check_bruteforce(code, 6, 3)
+    assert main(["verify", "--p", "3", "--m", "2", "--only", "design-triples"]) == 2
+    (record,) = json.loads(capsys.readouterr().out)["results"]
+    assert (record["status"], record["detail"]) == ("FAIL", "class does not determine the count")
+    assert record["counterexample"] == {"class": "t3-rank2", "counts": [4, 6]}
+
+
+def test_support_scalars_reports_the_first_counterexample(monkeypatch):
+    # (2, 0) . (1, 1) read off by one: the first word whose multiple loses
+    # its support is (lam, b) = ((1, 0), 0) with alpha = 2
+    honest = Field.dot
+
+    def corrupted(self, u, v):
+        value = honest(self, u, v)
+        return self.add(value, 1) if (tuple(u), tuple(v)) == ((2, 0), (1, 1)) else value
+
+    monkeypatch.setattr(Field, "dot", corrupted)
+    (result,) = run_checks(pairs=((3, 1, 2),), only=["support-scalars"])
+    assert result.status == "FAIL"
+    assert result.counterexample == {"lam": [1, 0], "b": 0, "alpha": 2}

@@ -340,6 +340,27 @@ def test_jacobi_from_a_rejects_negative_exponents():
 # ---------------------------------------------------------
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.integers(-50, 50).filter(bool))
+def test_jacobi_from_a_is_injective(delta):
+    # verify compares a-vectors in place of polynomials: sound because each
+    # a_i has a monomial of its own, or no polynomial at all (a stratum
+    # with a negative exponent must be empty)
+    for p, k, m in ((3, 1, 2), (2, 2, 2), (2, 1, 3)):
+        code = get_code(p, k, m)
+        q = code.q
+        for cls in (c for t in (2, 3, 4) for c in grm.reachable_classes(code, t)):
+            a = closed_form_a(cls, q, m)
+            closed = jacobi_from_a(a, q, m, cls.t)
+            for i in range(cls.t + 1):
+                changed = a[:i] + (a[i] + delta,) + a[i + 1:]
+                if q ** (m - 1) < cls.t - i:
+                    with pytest.raises(ValueError, match="negative exponent"):
+                        jacobi_from_a(changed, q, m, cls.t)
+                else:
+                    assert jacobi_from_a(changed, q, m, cls.t) != closed, (q, m, cls, i)
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(st.integers(0, 40), st.integers(1, 30), st.integers(0, 40))
 @example(0, 1, 0)

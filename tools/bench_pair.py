@@ -1,0 +1,140 @@
+"""Measure a change against a base revision with the repository's benchmark.
+
+    python3 tools/bench_pair.py --workload verify-census --base HEAD \\
+        --pairs 10 --seconds 50 --out BENCH_verify-census.json
+
+Each pair runs `perfbench/run.py --workload W --seed i --seconds S` once on
+a clean copy of REV's committed files (`git archive`, in a temporary
+directory) and once on the working tree, with seeds 1..N; the side that
+goes first alternates from pair to pair, so a slow phase of a shared host
+does not always fall on the same side.  Both sides' sources are
+byte-compiled first, so neither pays for compiling at each start.  Every
+run's last stdout line, the benchmark's JSON summary, is kept.
+
+The output file holds, per side and per end-to-end metric, every value in
+pair order, the median and the quartiles; per metric, the number of pairs
+the change won (a strictly better value, by the metric's direction in
+BENCHMARK.json); the operations attempted and failed per run; the two
+commits, nproc and the Python version.  The benchmark's own files are
+only run, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """Unpack REV's committed files into dest."""
+    archive = subprocess.run(
+        ["git", "archive", rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in tree; its parsed last stdout line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(
+            f"benchmark run in {tree} (seed {seed}) exited {proc.returncode}: "
+            f"{proc.stderr.strip()[-500:]}"
+        )
+    return json.loads(lines[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--base", required=True, help="git revision of the base side")
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--out", required=True, type=Path)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2, for quartiles")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+
+    scratch = Path(tempfile.mkdtemp(prefix="bench_pair."))
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    try:
+        export(args.base, scratch)
+        trees = {"base": scratch, "change": ROOT}
+        for tree in trees.values():
+            # Cached bytecode on both sides: with PYTHONDONTWRITEBYTECODE set,
+            # a side left without it compiles its sources at every start.
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
+        for seed in range(1, args.pairs + 1):
+            order = ("base", "change") if seed % 2 else ("change", "base")
+            for side in order:
+                runs[side].append(run_once(trees[side], args.workload, seed, args.seconds))
+                metrics = runs[side][-1]["metrics"]
+                print(f"pair {seed} {side}: " + ", ".join(
+                    f"{name} {m['value']:.4g}" for name, m in metrics.items()
+                ), file=sys.stderr, flush=True)
+    finally:
+        shutil.rmtree(scratch)
+
+    sides = {}
+    for side, results in runs.items():
+        sides[side] = {
+            "attempted": [r["attempted"] for r in results],
+            "failed": [r["failed"] for r in results],
+            "metrics": {
+                name: summary([r["metrics"][name]["value"] for r in results])
+                for name in lower_is_better
+            },
+        }
+    wins = {}
+    for name, lower in lower_is_better.items():
+        pairs = zip(sides["base"]["metrics"][name]["values"],
+                    sides["change"]["metrics"][name]["values"])
+        wins[name] = sum(1 for b, c in pairs if (c < b if lower else c > b))
+    report = {
+        "workload": args.workload,
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "first_side": "base on odd seeds, change on even seeds",
+        "commits": {
+            "base": git("rev-parse", args.base),
+            "change": git("rev-parse", "HEAD") + (" + working tree" if git("status", "--porcelain") else ""),
+        },
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "change_wins": wins,
+        "sides": sides,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
