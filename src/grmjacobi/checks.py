@@ -9,10 +9,12 @@ turns a check that refuses work beyond the budget into a SKIP.  The CLI
 falsified closed form surfaces identically in both places.
 
 The jacobi-, count-tables- and design- checks of one subset size t share
-one pass over the t-subsets per code: each subset is classified once, and
-only the requested compares run on it.  A jacobi- check compares the
-subset's restricted-weight vector with its class's closed form, which is
-the same as comparing the two Jacobi polynomials (see jacobi_mismatch).
+one pass over the t-subsets per code, designs.subset_pass, which returns
+the distinct profiles (class, row sums, blocks) it met; each check
+compares profiles, not subsets, and a correct program shows at most seven.
+A jacobi- check compares the restricted-weight vector with its class's
+closed form, which is the same as comparing the two Jacobi polynomials
+(see jacobi_mismatch).
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ from .jacobi import (
     jacobi_from_a,
     middle_shell_weight,
     rank_difference_identity,
-    _count_tables,
-    _value_counts,
 )
 from .conjecture import dual_diff_coefficient, dual_weight_enumerator
 from .designs import (
@@ -133,31 +133,40 @@ def _sampled(code: GrmCode, rng: random.Random, count: int):
 # -- the subset passes ---------------------------------------------------------
 
 
-def jacobi_mismatch(code: GrmCode, points, cls: TClass) -> dict | None:
-    """The subset's restricted-weight vector, from its functional tally,
-    vs the closed form of its class.  This compares their Jacobi
-    polynomials: jacobi_from_a puts each a_i alone on the monomial
-    w^(t-i) z^i x^(q^(m-1)-(t-i)) y^((q-1)q^(m-1)-i), which is neither
-    constant word's, so the polynomials are equal exactly when the vectors
-    are.  The sweep's points are distinct points of V, so they are not
-    checked."""
-    b = [sum(row) for row in _value_counts(code, points)]
+def jacobi_mismatch(code: GrmCode, cls: TClass, b) -> dict | None:
+    """A profile's restricted-weight vector, from the row sums b of its
+    functional tally, vs the closed form of its class.  This compares
+    their Jacobi polynomials: jacobi_from_a puts each a_i alone on the
+    monomial w^(t-i) z^i x^(q^(m-1)-(t-i)) y^((q-1)q^(m-1)-i), which is
+    neither constant word's, so the polynomials are equal exactly when the
+    vectors are."""
     if a_from_b(b, cls.t, code.q) != closed_form_a(cls, code.q, code.m):
         return {}
     return None
 
 
-def count_mismatch(code: GrmCode, points, cls: TClass) -> dict | None:
-    """Enumerated count tables vs the closed-form a (and, for pairs and
-    triples, b) vectors; the sweep's points are not checked."""
-    tables = _count_tables(code, points)
+def count_mismatch(code: GrmCode, cls: TClass, b) -> dict | None:
+    """A profile's count tables, its row sums b and a = a_from_b(b), vs
+    the closed-form a (and, for pairs and triples, b) vectors."""
+    a = a_from_b(b, cls.t, code.q)
     expected_a = closed_form_a(cls, code.q, code.m)
-    if tables.a != expected_a:
-        return {"kind": "a", "got": list(tables.a), "expected": list(expected_a)}
+    if a != expected_a:
+        return {"kind": "a", "got": list(a), "expected": list(expected_a)}
     if cls.t in (2, 3):
         expected_b = closed_form_b(cls, code.q, code.m)
-        if tables.b != expected_b:
-            return {"kind": "b", "got": list(tables.b), "expected": list(expected_b)}
+        if b != expected_b:
+            return {"kind": "b", "got": list(b), "expected": list(expected_b)}
+    return None
+
+
+def first_mismatch(code: GrmCode, profiles: dict, compare) -> dict | None:
+    """The mismatch record {"T": subset, "class": label, **extra} of the
+    first profile, in order of first occurrence, that fails compare; that
+    profile's first subset is the first failing subset of the pass."""
+    for (cls, b, _), (first, _) in profiles.items():
+        extra = compare(code, cls, b)
+        if extra is not None:
+            return {"T": list(first), "class": cls.label(), **extra}
     return None
 
 
@@ -173,59 +182,56 @@ class SubsetPasses:
     The first jacobi-, count-tables- or design- check of size t to run
     makes the one pass over the t-subsets (all of them, or the sample that
     subsets_for_sweep draws) that serves every requested check of that
-    size; the others read what it found.  Each check's budget is asked
+    size; the others read its profiles.  Each check's budget is asked
     before the pass: a refused check is left out of it, and raises its
-    BudgetExceeded when it asks for its result.
+    BudgetExceeded when it asks for the pass.
     """
 
     def __init__(self, code: GrmCode, names, workers: int):
         self.code = code
         self.names = frozenset(names)
         self.workers = workers
-        self._found: dict[int, tuple] = {}
+        self._passes: dict[int, tuple] = {}
 
     def result(self, t: int, kind: str) -> tuple:
-        """(mode, number of subsets, found) for the check `kind` of size t,
-        where found is a compare's list of mismatch records, or for
-        "design" the pass's tally and the number of blocks."""
-        if t not in self._found:
-            self._found[t] = self._run(t)
-        mode, swept, found = self._found[t]
-        if isinstance(found[kind], BudgetExceeded):
-            raise found[kind]
-        return mode, swept, found[kind]
+        """(mode, number of subsets, profiles, number of blocks) of the pass
+        over the t-subsets, for the check `kind` of size t; the number of
+        blocks is None unless a design check of size t is in the pass."""
+        if t not in self._passes:
+            self._passes[t] = self._run(t)
+        refusals, found = self._passes[t]
+        if kind in refusals:
+            raise refusals[kind]
+        return found
 
     def _run(self, t: int) -> tuple:
         code, word = self.code, SIZE_WORDS[t]
-        found: dict[str, object] = {}
-        compares = {}
-        for kind, compare in COMPARES.items():
+        refusals: dict[str, BudgetExceeded] = {}
+        tally = False
+        for kind in COMPARES:
             if f"{kind}-{word}" in self.names:
                 try:
                     # the tally's own budget, asked once before the pass
                     require_budget(t * code.n, f"{t} points x {code.n} functional values")
-                    compares[kind] = compare
+                    tally = True
                 except BudgetExceeded as refusal:
-                    found[kind] = refusal
-        masks = None
+                    refusals[kind] = refusal
+        masks = blocks = None
         ell = middle_shell_weight(code.q, code.m)
         if f"design-{word}" in self.names and ell >= t:
             try:
                 masks, blocks = block_masks(code, ell, t)
             except BudgetExceeded as refusal:
-                found["design"] = refusal
-        if not compares and masks is None:
-            return None, 0, found
+                refusals["design"] = refusal
+        if not tally and masks is None:
+            return refusals, (None, 0, {}, None)
         subsets, mode = subsets_for_sweep(code, t)
         # A sweep samples only beyond 10^6 subsets, and C(n, t) > 10^6 makes
         # C(n, t) times the q(n - 1) middle-shell blocks exceed the work
         # budget, so the design route only ever rides on a full sweep.
         assert masks is None or mode == "full", "design pass over a sample"
-        tally = subset_pass(code, subsets, tuple(compares.values()), masks, self.workers)
-        found.update(zip(compares, tally.mismatches))
-        if masks is not None:
-            found["design"] = tally, blocks
-        return mode, len(subsets), found
+        profiles = subset_pass(code, subsets, tally, masks, self.workers)
+        return refusals, (mode, len(subsets), profiles, blocks)
 
 
 # -- individual checks ----------------------------------------------------------
@@ -298,11 +304,12 @@ def _sweep_check(t: int, kind: str, census: bool = False):
     def run(code: GrmCode, passes: SubsetPasses) -> tuple:
         if code.n < t:
             return SKIP, f"code length {code.n} < {t}"
-        mode, swept, mismatches = passes.result(t, kind)
+        mode, swept, profiles, _ = passes.result(t, kind)
         if census and (failure := _census_failure(code)) is not None:
             return failure
-        if mismatches:
-            return FAIL, f"{mode} sweep", mismatches[0]
+        mismatch = first_mismatch(code, profiles, COMPARES[kind])
+        if mismatch is not None:
+            return FAIL, f"{mode} sweep", mismatch
         return PASS, f"{mode} sweep over {swept} subsets"
 
     return run
@@ -357,9 +364,9 @@ def _design_check(t: int):
             return SKIP, "middle shell smaller than t"
         # brute force first: beyond the work budget it refuses, and the
         # check is skipped, before the Jacobi route runs
-        _, _, (tally, block_count) = passes.result(t, "design")
+        _, _, profiles, block_count = passes.result(t, "design")
         try:
-            via_blocks = blocks_report(code, ell, t, tally, block_count)
+            via_blocks = blocks_report(code, ell, t, profiles, block_count)
         except CountNotDetermined as exc:
             return FAIL, "class does not determine the count", {
                 "class": exc.cls.label(),

@@ -250,7 +250,10 @@ def cmd_design(args) -> int:
 def cmd_verify(args) -> int:
     if (args.p is None) != (args.m is None):
         raise ValueError("--p and --m must be given together")
-    pairs = DEFAULT_PAIRS if args.p is None else ((args.p, args.k, args.m),)
+    if args.p is None and args.k is not None:
+        raise ValueError("--k needs --p and --m")
+    k = 1 if args.k is None else args.k
+    pairs = DEFAULT_PAIRS if args.p is None else ((args.p, k, args.m),)
     results = run_checks(pairs, only=args.only or None, workers=args.workers)
     failures = sum(1 for r in results if r.status == "FAIL")
     out = {"results": [r.to_json_dict() for r in results], "failures": failures}
@@ -353,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the closed-form cross-checks")
     pv.add_argument("--p", type=int, help="prime characteristic (default: built-in set)")
-    pv.add_argument("--k", type=int, default=1)
+    pv.add_argument("--k", type=int, help="extension degree (default: 1 with --p)")
     pv.add_argument("--m", type=int)
     pv.add_argument(
         "--only", action="append", metavar="CHECK",

@@ -5,10 +5,10 @@ reads the count of blocks through a t-subset off the closed-form
 polynomial of the subset's class and takes the class sizes from the
 closed-form census, so it enumerates nothing, while the brute-force route
 classifies every t-subset and counts supports directly.  Its one pass
-over the subsets, subset_pass, also carries `verify`'s per-subset
-compares, so that `verify` classifies each subset once.  Blocks are
-counted with multiplicity (scalar multiples of a codeword contribute
-separate blocks), so Jacobi coefficients equal block counts exactly.
+over the subsets, subset_pass, also serves `verify`, whose checks compare
+the few distinct subset profiles it returns.  Blocks are counted with
+multiplicity (scalar multiples of a codeword contribute separate blocks),
+so Jacobi coefficients equal block counts exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import NamedTuple
 
 from .grm import (
     CLASSES,
@@ -35,6 +34,7 @@ from .jacobi import (
     closed_weight_distribution,
     jacobi_closed_form,
     middle_shell_weight,
+    _value_counts,
 )
 from ._parallel import run_chunks, split
 
@@ -131,17 +131,6 @@ def design_check_jacobi(code: GrmCode, ell: int, t: int) -> DesignReport:
     return _finish_report(code, ell, t, "jacobi", lam, census, block_count)
 
 
-class SubsetTally(NamedTuple):
-    """What one subset_pass found: per compare, its mismatch records in
-    subset order; and, when block masks were given, per class (in order of
-    first occurrence) the set of block counts its subsets showed and the
-    number of its subsets."""
-
-    mismatches: tuple[list[dict], ...]
-    block_counts: dict[TClass, set[int]]
-    census: dict[TClass, int]
-
-
 class CountNotDetermined(RuntimeError):
     """Two subsets of one class lie in different numbers of blocks, which
     falsifies the class-determines-count property the Jacobi route relies
@@ -168,8 +157,8 @@ def design_check_bruteforce(
     """
     masks, block_count = block_masks(code, ell, t)
     subsets = list(combinations(range(code.n), t))
-    tally = subset_pass(code, subsets, masks=masks, workers=workers)
-    return blocks_report(code, ell, t, tally, block_count)
+    profiles = subset_pass(code, subsets, masks=masks, workers=workers)
+    return blocks_report(code, ell, t, profiles, block_count)
 
 
 def block_masks(code: GrmCode, ell: int, t: int) -> tuple[list[int], int]:
@@ -200,46 +189,40 @@ def block_masks(code: GrmCode, ell: int, t: int) -> tuple[list[int], int]:
 
 
 def subset_pass(
-    code: GrmCode, subsets, compares=(), masks=None, workers: int = 1
-) -> SubsetTally:
-    """One pass over subsets (tuples of position indices): each subset is
-    decoded and classified once, each compare(code, points, cls) runs on
-    it, and, given block masks, the blocks through it are counted.
-
-    A compare returns None, or the extra fields of the mismatch record
-    {"T": subset, "class": label, **extra}.  The chunks run on up to
-    `workers` processes and merge in subset order.
+    code: GrmCode, subsets, tally: bool = False, masks=None, workers: int = 1
+) -> dict[tuple, list]:
+    """One pass over subsets (tuples of position indices), each decoded and
+    classified once.  Its profile is (class, b, blocks): b the row sums of
+    its untranslated functional tally if `tally`, blocks the number of
+    blocks through it if block masks are given, else None.  Returns
+    profile -> [first subset, number of subsets] in order of first
+    occurrence: the chunks run on up to `workers` processes and merge in
+    chunk order.
     """
     every = bool(subsets) and len(subsets) == math.comb(code.n, len(subsets[0]))
-    chunk = partial(_pass_chunk, code, compares, masks, every)
-    tally = SubsetTally(tuple([] for _ in compares), {}, {})
+    chunk = partial(_pass_chunk, code, tally, masks, every)
+    profiles: dict[tuple, list] = {}
     for part in run_chunks(chunk, split(subsets, workers), workers):
-        for found, more in zip(tally.mismatches, part.mismatches):
-            found.extend(more)
-        for cls, counts in part.block_counts.items():
-            tally.block_counts.setdefault(cls, set()).update(counts)
-        for cls, size in part.census.items():
-            tally.census[cls] = tally.census.get(cls, 0) + size
-    return tally
+        for profile, (first, count) in part.items():
+            profiles.setdefault(profile, [first, 0])[1] += count
+    return profiles
 
 
-def _pass_chunk(code: GrmCode, compares, masks, every: bool, subsets) -> SubsetTally:
+def _pass_chunk(code: GrmCode, tally: bool, masks, every: bool, subsets) -> dict:
     # A pass over every t-subset reads each point many times, so it decodes
     # through the point list; a sample decodes each index on its own, which
     # at large n costs less than building the list.
     decode = code.points().__getitem__ if every else code.point
-    tally = SubsetTally(tuple([] for _ in compares), {}, {})
+    profiles: dict[tuple, list] = {}
     for sub in subsets:
         points = tuple(map(decode, sub))
-        cls = _classify(code, points)
-        for found, compare in zip(tally.mismatches, compares):
-            extra = compare(code, points, cls)
-            if extra is not None:
-                found.append({"T": list(sub), "class": cls.label(), **extra})
-        if masks is not None:
-            tally.block_counts.setdefault(cls, set()).add(_blocks_through(masks, sub))
-            tally.census[cls] = tally.census.get(cls, 0) + 1
-    return tally
+        profile = (
+            _classify(code, points),
+            tuple(map(sum, _value_counts(code, points))) if tally else None,
+            None if masks is None else _blocks_through(masks, sub),
+        )
+        profiles.setdefault(profile, [sub, 0])[1] += 1
+    return profiles
 
 
 def _blocks_through(masks: list[int], sub) -> int:
@@ -252,17 +235,22 @@ def _blocks_through(masks: list[int], sub) -> int:
 
 
 def blocks_report(
-    code: GrmCode, ell: int, t: int, tally: SubsetTally, block_count: int
+    code: GrmCode, ell: int, t: int, profiles: dict, block_count: int
 ) -> DesignReport:
     """The brute-force report from a subset_pass with block masks over every
     t-subset; raises CountNotDetermined for the first class that showed
     several block counts."""
+    counts: dict[TClass, set[int]] = {}
+    census: dict[TClass, int] = {}
+    for (cls, _, blocks), (_, size) in profiles.items():
+        counts.setdefault(cls, set()).add(blocks)
+        census[cls] = census.get(cls, 0) + size
     lam = {}
-    for cls, counts in tally.block_counts.items():
-        if len(counts) > 1:
-            raise CountNotDetermined(cls, sorted(counts), ell, t)
-        (lam[cls],) = counts
-    return _finish_report(code, ell, t, "bruteforce", lam, tally.census, block_count)
+    for cls, seen in counts.items():
+        if len(seen) > 1:
+            raise CountNotDetermined(cls, sorted(seen), ell, t)
+        (lam[cls],) = seen
+    return _finish_report(code, ell, t, "bruteforce", lam, census, block_count)
 
 
 def _finish_report(code, ell, t, method, lam, census, block_count) -> DesignReport:

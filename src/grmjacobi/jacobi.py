@@ -233,15 +233,12 @@ def a_from_b(b, t: int, q: int) -> tuple[int, ...]:
 def count_tables(code: GrmCode, points: PointSet) -> CountTables:
     """The functional tally of T, after T is checked (distinct points of
     V; the empty T is allowed) and translated so that its V-least point
-    becomes 0.  Only b_by_value depends on the translation: its row sums
-    b, and the Jacobi polynomial assembled from a, do not.  The sweeps,
-    whose subsets are built from code.points(), call _count_tables.
+    becomes 0.  Only b_by_value depends on the translation: on T + v each
+    functional lam takes the values it takes on T shifted by lam(v), so
+    each row sum b_i, and a with it, is the same on every translate.
+    That is why `verify`'s subset pass tallies each subset untranslated.
     """
     code.require_points(points)
-    return _count_tables(code, points)
-
-
-def _count_tables(code: GrmCode, points: PointSet) -> CountTables:
     t = len(points)
     pts = tuple(sorted(points))
     if pts and any(pts[0]):

@@ -33,7 +33,7 @@ from grmjacobi import (
     rank_difference_identity,
     t_class_census,
 )
-from grmjacobi.checks import count_mismatch, jacobi_mismatch, sample_subsets
+from grmjacobi.checks import count_mismatch, first_mismatch, jacobi_mismatch, sample_subsets
 from grmjacobi.cli import parse_bound
 from grmjacobi.designs import subset_pass
 
@@ -73,8 +73,11 @@ def census_json(census) -> dict:
 
 
 def sweep(code: GrmCode, subsets, compare, workers: int) -> list[dict]:
-    """The mismatches of one compare over subsets, in subset order."""
-    return subset_pass(code, subsets, (compare,), workers=workers).mismatches[0]
+    """The first mismatch of one compare over subsets, as a one-item list;
+    [] when there is none."""
+    profiles = subset_pass(code, subsets, tally=True, workers=workers)
+    mismatch = first_mismatch(code, profiles, compare)
+    return [] if mismatch is None else [mismatch]
 
 
 def quad_subsets(code: GrmCode):

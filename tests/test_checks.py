@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -179,12 +180,12 @@ def test_one_pool_per_subset_size(monkeypatch):
 
 
 def test_only_the_requested_compares_run(monkeypatch):
-    monkeypatch.setattr(checks, "_count_tables", lambda *a: pytest.fail("count tables ran"))
+    monkeypatch.setattr(checks, "count_tables", lambda *a: pytest.fail("count tables ran"))
     monkeypatch.setattr(GrmCode, "shell", lambda self, ell: pytest.fail("shell enumerated"))
     (result,) = run_checks(pairs=((3, 1, 2),), only=["jacobi-quads"])
     assert result.status == "PASS"
     monkeypatch.undo()
-    monkeypatch.setattr(checks, "_value_counts", lambda *a: pytest.fail("tally ran"))
+    monkeypatch.setattr(designs, "_value_counts", lambda *a: pytest.fail("tally ran"))
     monkeypatch.setattr(jacobi, "_value_counts", lambda *a: pytest.fail("tally ran"))
     (result,) = run_checks(pairs=((3, 1, 2),), only=["design-quads"])
     assert result.status == "PASS"
@@ -241,3 +242,49 @@ def test_support_scalars_reports_the_first_counterexample(monkeypatch):
     (result,) = run_checks(pairs=((3, 1, 2),), only=["support-scalars"])
     assert result.status == "FAIL"
     assert result.counterexample == {"lam": [1, 0], "b": 0, "alpha": 2}
+
+
+def test_each_swept_subset_is_tallied_once(monkeypatch):
+    # jacobi- and count-tables- checks of one size share one tally per
+    # subset; neither translates it through count_tables
+    honest = designs._value_counts
+    calls = []
+
+    def counting(code, points):
+        calls.append(points)
+        return honest(code, points)
+
+    monkeypatch.setattr(designs, "_value_counts", counting)
+    for module in (checks, jacobi):
+        monkeypatch.setattr(module, "count_tables", lambda *a: pytest.fail("count tables ran"))
+    results = run_checks(pairs=((3, 1, 2),), only=["jacobi-triples", "count-tables-triples"])
+    assert [r.status for r in results] == ["PASS", "PASS"]
+    assert len(calls) == 84 and len(set(calls)) == 84
+
+
+TRIPLES_3_2 = list(combinations(range(9), 3))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("perturbed,first", [((70,), 70), ((70, 30), 30), ((70, 23), 23)])
+def test_the_first_failing_subset_is_reported(monkeypatch, workers, perturbed, first):
+    # At two workers the 84 triples of (3, 1, 2) run in 8 chunks, and
+    # triples 23, 30 and 70 lie in chunks 2, 2 and 6.  Triples 30 and 70
+    # are both of rank 2, so their perturbed profiles are one; 23 is
+    # collinear.  The pool forks, so the workers see the patched tally.
+    code = GrmCode(Field(3), 2)
+    targets = {tuple(code.points()[i] for i in TRIPLES_3_2[j]) for j in perturbed}
+    honest = designs._value_counts
+
+    def perturbed_tally(code, points):
+        counts = honest(code, points)
+        if points in targets:  # one functional moved from row 0 to row 1
+            counts[0][0] -= 1
+            counts[1][0] += 1
+        return counts
+
+    monkeypatch.setattr(designs, "_value_counts", perturbed_tally)
+    only = ["jacobi-triples", "count-tables-triples"]
+    results = run_checks(pairs=((3, 1, 2),), only=only, workers=workers)
+    assert [r.status for r in results] == ["FAIL", "FAIL"]
+    assert [r.counterexample["T"] for r in results] == [list(TRIPLES_3_2[first])] * 2

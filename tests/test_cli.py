@@ -288,6 +288,19 @@ def test_verify_unknown_check_exit_1(capsys):
     assert code == 1 and "unknown checks" in err
 
 
+def test_verify_k_without_p_and_m_exit_1(capsys):
+    # it used to run the default grid and ignore K
+    code, out, err = run_cli(capsys, ["verify", "--k", "2", "--only", "weight-enumerator"])
+    assert (code, out) == (1, "")
+    assert err == "error: --k needs --p and --m\n"
+
+
+def test_verify_p_and_m_without_k_means_k_1(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--p", "2", "--m", "2", "--only", "weight-enumerator"])
+    assert code == 0
+    assert json.loads(out)["results"][0]["q"] == 2
+
+
 def test_verify_pretty(capsys):
     code, out, _ = run_cli(
         capsys,

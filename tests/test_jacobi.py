@@ -25,8 +25,8 @@ from grmjacobi import (
     rank_difference_identity,
 )
 from grmjacobi import GrmCode, grm
-from grmjacobi.grm import BudgetExceeded
-from grmjacobi.jacobi import binom_conv
+from grmjacobi.grm import BudgetExceeded, translate_T
+from grmjacobi.jacobi import _value_counts, binom_conv
 
 from conftest import SMALL_CODES, get_code
 
@@ -124,6 +124,20 @@ def test_brute_force_agrees_with_every_route(case):
     assert brute == jacobi_from_a(count_tables(code, T).a, code.q, code.m, len(T))
     if 2 <= len(T) <= 4:
         assert brute == jacobi_closed_form(code, classify_T(code, T))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(code_and_points(), st.data())
+def test_tally_row_sums_do_not_change_under_translation(case, data):
+    # each functional's values on T + v are its values on T shifted by a
+    # constant, so each row of the tally is permuted and keeps its sum;
+    # count_tables translates T and must report the untranslated sums
+    code, T = case
+    v = data.draw(st.sampled_from(code.points()))
+    row_sums = [sum(row) for row in _value_counts(code, T)]
+    shifted = translate_T(code.field, T, v)
+    assert [sum(row) for row in _value_counts(code, shifted)] == row_sums
+    assert list(count_tables(code, T).b) == row_sums
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

@@ -17,6 +17,10 @@ the change won (a strictly better value, by the metric's direction in
 BENCHMARK.json); the operations attempted and failed per run; the two
 commits, nproc and the Python version.  The benchmark's own files are
 only run, never changed.
+
+After writing the report, each (pair, side) whose run counted a failed
+operation is printed to stderr, and the exit status is 1: a faster side
+that got an answer wrong has not won anything.
 """
 
 from __future__ import annotations
@@ -133,7 +137,15 @@ def main(argv=None) -> int:
         "sides": sides,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    failures = [
+        (pair, side, result["failed"])
+        for side, results in runs.items()
+        for pair, result in enumerate(results, start=1)
+        if result["failed"] > 0
+    ]
+    for pair, side, failed in failures:
+        print(f"pair {pair} {side}: {failed} failed operation(s)", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
