@@ -20,9 +20,9 @@ closed form, which is the same as comparing the two Jacobi polynomials
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import comb
+from typing import NamedTuple
 
 from .field import Field
 from .grm import (
@@ -69,8 +69,7 @@ SAMPLE_SIZE = 10_000
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     q: int
     m: int

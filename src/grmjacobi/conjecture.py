@@ -26,8 +26,7 @@ hold one pair's results at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .field import Field
 from .grm import GrmCode, class_witness, classes_of_size, require_budget
@@ -42,16 +41,14 @@ MIN_BOUND = 81
 DEFAULT_BOUND = 10**7
 
 
-@dataclass(frozen=True)
-class ShellCheck:
+class ShellCheck(NamedTuple):
     ell: int
     nonempty: bool
     diff_coeff: int
     in_range: bool  # within the identity's monomial support [3, q^m - 3]
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     q: int
     m: int
     verdict: str

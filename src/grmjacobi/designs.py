@@ -14,9 +14,9 @@ so Jacobi coefficients equal block counts exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
+from typing import NamedTuple
 
 from .grm import (
     CLASSES,
@@ -39,8 +39,7 @@ from .jacobi import (
 from ._parallel import run_chunks, split
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(NamedTuple):
     q: int
     m: int
     ell: int
@@ -280,15 +279,13 @@ def count_blocks_containing(code: GrmCode, shell, points: PointSet) -> int:
 # -- generalized design parameters -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassParams:
+class ClassParams(NamedTuple):
     tclass: TClass
     lam: int | None  # closed-form value; None when undefined at this (q, m)
     nonempty: bool  # witness-verified at this (q, m)
 
 
-@dataclass(frozen=True)
-class GeneralizedDesignParams:
+class GeneralizedDesignParams(NamedTuple):
     v: int
     k: int
     t: int

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field as dc_field
 from functools import cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .grm import (
     COLLINEAR_TRIPLE,
@@ -32,27 +31,31 @@ from .grm import (
 ExpKey = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
 class JacobiPolynomial:
-    """Bi-homogeneous 4-variable polynomial in (w, z, x, y)."""
+    """Bi-homogeneous 4-variable polynomial in (w, z, x, y); its terms
+    are checked and zero coefficients dropped when it is built."""
 
-    t: int
-    n: int
-    terms: dict[ExpKey, int] = dc_field(default_factory=dict)
+    __slots__ = ("t", "n", "terms")
 
-    def __post_init__(self):
+    def __init__(self, t: int, n: int, terms: dict[ExpKey, int] | None = None):
         clean = {}
-        for key, coeff in self.terms.items():
+        for key, coeff in (terms or {}).items():
             ew, ez, ex, ey = key
             if min(key) < 0:
                 raise ValueError(f"negative exponent in term {key}")
-            if ew + ez != self.t or ex + ey != self.n - self.t:
-                raise ValueError(
-                    f"term {key} breaks bi-homogeneity for t={self.t}, n={self.n}"
-                )
+            if ew + ez != t or ex + ey != n - t:
+                raise ValueError(f"term {key} breaks bi-homogeneity for t={t}, n={n}")
             if coeff:
                 clean[key] = coeff
-        object.__setattr__(self, "terms", clean)
+        self.t, self.n, self.terms = t, n, clean
+
+    def __eq__(self, other):  # and so no __hash__: terms is a dict
+        if not isinstance(other, JacobiPolynomial):
+            return NotImplemented
+        return (self.t, self.n, self.terms) == (other.t, other.n, other.terms)
+
+    def __repr__(self) -> str:
+        return f"JacobiPolynomial(t={self.t}, n={self.n}, terms={self.terms})"
 
     def coefficient(self, e_w: int, e_z: int, e_x: int, e_y: int) -> int:
         return self.terms.get((e_w, e_z, e_x, e_y), 0)
@@ -201,8 +204,7 @@ def _jacobi_brute(
     return JacobiPolynomial(t, n, terms)
 
 
-@dataclass(frozen=True)
-class CountTables:
+class CountTables(NamedTuple):
     """Functional counts over V* for a position set containing 0.
 
     b_by_value[i][j] counts functionals taking value j on exactly i points

@@ -1,6 +1,5 @@
 import json
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 from itertools import combinations
 
@@ -63,9 +62,9 @@ def test_design_check_fails_when_routes_disagree(monkeypatch, field, detail):
     def skewed(code, ell, t):
         report = honest(code, ell, t)
         if field == "block_count":
-            return replace(report, block_count=report.block_count + 1)
+            return report._replace(block_count=report.block_count + 1)
         cls = next(iter(report.class_counts))
-        return replace(report, class_counts={**report.class_counts, cls: 0})
+        return report._replace(class_counts={**report.class_counts, cls: 0})
 
     monkeypatch.setattr(checks, "design_check_jacobi", skewed)
     (result,) = run_checks(pairs=((3, 1, 2),), only=["design-triples"])

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
 from importlib import resources
 from math import comb
 from pathlib import Path
@@ -240,9 +239,9 @@ def test_design_routes_disagree_on_sizes_exit_2(capsys, monkeypatch, field):
     def skewed(code, ell, t):
         report = honest(code, ell, t)
         if field == "block_count":
-            return replace(report, block_count=report.block_count + 1)
+            return report._replace(block_count=report.block_count + 1)
         cls = next(iter(report.class_counts))
-        return replace(report, class_counts={**report.class_counts, cls: 0})
+        return report._replace(class_counts={**report.class_counts, cls: 0})
 
     monkeypatch.setattr(grmjacobi.cli, "design_check_jacobi", skewed)
     code, out, _ = run_cli(capsys, ["design", "--p", "3", "--m", "2", "--l", "6", "--t", "3"])
@@ -366,7 +365,7 @@ def test_scan_counterexample_exit_2_after_every_record(capsys, monkeypatch):
     def forged(q, m):
         res = real(q, m)
         if (q, m) == (3, 2):
-            return replace(res, verdict=conjecture.COUNTEREXAMPLE, counterexample=(3, 0))
+            return res._replace(verdict=conjecture.COUNTEREXAMPLE, counterexample=(3, 0))
         return res
 
     monkeypatch.setattr(conjecture, "scan_pair", forged)

@@ -22,13 +22,23 @@ def test_split_is_contiguous_and_bounded():
 
 
 def test_cli_import_does_not_load_the_process_pool():
-    # a one-worker run never starts a pool, so it should not pay for the import
-    probe = "import sys, grmjacobi.cli; print('multiprocessing.pool' in sys.modules)"
+    # Every command starts a fresh interpreter: the import, and a one-worker
+    # run that never starts a pool, load neither the pool nor the modules
+    # behind dataclasses.
+    probe = """if True:
+        import contextlib, io, sys
+        heavy = ("dataclasses", "inspect", "ast", "multiprocessing")
+        import grmjacobi.cli
+        print(sorted(set(heavy) & set(sys.modules)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = grmjacobi.cli.main(["verify", "--p", "2", "--k", "1", "--m", "2"])
+        print(code, sorted(set(heavy) & set(sys.modules)))
+    """
     env = {**os.environ, "PYTHONPATH": str(Path(grmjacobi.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n0 []\n"
 
 
 class FakePool:

@@ -20,7 +20,12 @@ only run, never changed.
 
 After writing the report, each (pair, side) whose run counted a failed
 operation is printed to stderr, and the exit status is 1: a faster side
-that got an answer wrong has not won anything.
+that got an answer wrong has not won anything.  A run that exits non-zero
+or prints no summary ends the measurement: the report then holds the
+pairs completed before it and names the run under `failed_runs`, and the
+exit status is 1.  On SIGTERM the running benchmark is sent SIGTERM too
+(it ends its own command), the temporary copy is removed and the exit
+status is 143.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -53,24 +59,42 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def compile_sources(tree: Path) -> None:
+    # Cached bytecode on both sides: with PYTHONDONTWRITEBYTECODE set,
+    # a side left without it compiles its sources at every start.
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
+
+
+class RunFailed(Exception):
+    """A run that exited non-zero or printed nothing: (exit code, last stderr line)."""
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in tree; its parsed last stdout line."""
-    proc = subprocess.run(
+    """One benchmark run in tree; its parsed last stdout line.  Raises
+    RunFailed when the run exits non-zero or prints nothing."""
+    proc = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-    lines = proc.stdout.strip().splitlines()
+    try:
+        out, err = proc.communicate()
+    except BaseException:
+        # SIGKILL would leave the benchmark's running command behind
+        proc.terminate()
+        proc.communicate()
+        raise
+    lines = out.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(
-            f"benchmark run in {tree} (seed {seed}) exited {proc.returncode}: "
-            f"{proc.stderr.strip()[-500:]}"
-        )
+        raise RunFailed(proc.returncode, (err.strip().splitlines() or [""])[-1])
     return json.loads(lines[-1])
 
 
 def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """The values, their median and quartiles (None below two values)."""
+    q1 = median = q3 = None
+    if len(values) >= 2:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
@@ -87,23 +111,34 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
 
+    # Leave through the finally below, which removes the copy.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     scratch = Path(tempfile.mkdtemp(prefix="bench_pair."))
     runs: dict[str, list[dict]] = {"base": [], "change": []}
+    failed_runs = []
     try:
         export(args.base, scratch)
         trees = {"base": scratch, "change": ROOT}
         for tree in trees.values():
-            # Cached bytecode on both sides: with PYTHONDONTWRITEBYTECODE set,
-            # a side left without it compiles its sources at every start.
-            subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
+            compile_sources(tree)
         for seed in range(1, args.pairs + 1):
             order = ("base", "change") if seed % 2 else ("change", "base")
+            pair = {}
             for side in order:
-                runs[side].append(run_once(trees[side], args.workload, seed, args.seconds))
-                metrics = runs[side][-1]["metrics"]
+                try:
+                    pair[side] = run_once(trees[side], args.workload, seed, args.seconds)
+                except RunFailed as e:
+                    exit_code, stderr_line = e.args
+                    failed_runs.append({"pair": seed, "side": side, "exit_code": exit_code,
+                                        "stderr": stderr_line})
+                    break
                 print(f"pair {seed} {side}: " + ", ".join(
-                    f"{name} {m['value']:.4g}" for name, m in metrics.items()
+                    f"{name} {m['value']:.4g}" for name, m in pair[side]["metrics"].items()
                 ), file=sys.stderr, flush=True)
+            if failed_runs:
+                break
+            for side in order:
+                runs[side].append(pair[side])
     finally:
         shutil.rmtree(scratch)
 
@@ -125,6 +160,7 @@ def main(argv=None) -> int:
     report = {
         "workload": args.workload,
         "pairs": args.pairs,
+        "complete_pairs": len(runs["base"]),
         "seconds": args.seconds,
         "first_side": "base on odd seeds, change on even seeds",
         "commits": {
@@ -135,6 +171,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "change_wins": wins,
         "sides": sides,
+        "failed_runs": failed_runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     failures = [
@@ -145,7 +182,10 @@ def main(argv=None) -> int:
     ]
     for pair, side, failed in failures:
         print(f"pair {pair} {side}: {failed} failed operation(s)", file=sys.stderr)
-    return 1 if failures else 0
+    for run in failed_runs:
+        print(f"pair {run['pair']} {run['side']}: the run exited {run['exit_code']}: "
+              f"{run['stderr']}", file=sys.stderr)
+    return 1 if failures or failed_runs else 0
 
 
 if __name__ == "__main__":
