@@ -106,8 +106,8 @@ def _poly_json(poly: JacobiPolynomial) -> dict:
     return {"t": poly.t, "n": poly.n, "terms": poly.to_records()}
 
 
-def _emit(obj, pretty_lines=None, output="json"):
-    if output == "pretty" and pretty_lines is not None:
+def _emit(obj, pretty_lines, output):
+    if output == "pretty":
         for line in pretty_lines:
             print(line)
     else:

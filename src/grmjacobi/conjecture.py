@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, NamedTuple
 
-from .field import Field
+from .field import Field, prime_power
 from .grm import GrmCode, class_witness, classes_of_size, require_budget
 from .jacobi import binom_conv, difference_degrees, middle_shell_weight
 from ._parallel import run_chunks
@@ -144,23 +144,6 @@ def dual_diff_coefficient(q: int, m: int, ell: int) -> int:
 
 
 # -- pair enumeration ----------------------------------------------------------
-
-
-def prime_power(q: int) -> tuple[int, int] | None:
-    """(p, k) with q = p^k, or None when q is not a prime power."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1)
-        if q % p == 0:
-            k = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                k += 1
-            return (p, k) if rest == 1 else None
-    return None
 
 
 def scan_pairs(bound: int) -> list[tuple[int, int]]:

@@ -162,8 +162,9 @@ def design_check_bruteforce(
 
 def block_masks(code: GrmCode, ell: int, t: int) -> tuple[list[int], int]:
     """The blocks of the weight-ell shell as position masks, for counting
-    the blocks through each t-subset: bit j of masks[i] is set when block j
-    contains position i.  Returned with the number of blocks.
+    the blocks through each t-subset: bit j of masks[i] is set when row j
+    of weight ell in code.value_rows() (from 0) is nonzero at position i.
+    Returned with the number of blocks.
 
     Refuses (rather than truncates) before the shell is enumerated when
     |t-subsets| x |blocks| exceeds the work budget, with |blocks| the
@@ -177,14 +178,16 @@ def block_masks(code: GrmCode, ell: int, t: int) -> tuple[list[int], int]:
         math.comb(code.n, t) * max(expected, 1),
         f"C({code.n}, {t}) subsets x {expected} blocks",
     )
-    shell = code.shell(ell)
-    block_count = _require_blocks(code, ell, len(shell))
     masks = [0] * code.n
-    for j, c in enumerate(shell):
-        for i, value in enumerate(code.value_row(c)):
-            if value:
-                masks[i] |= 1 << j
-    return masks, block_count
+    block_count = 0
+    for _, row in code.value_rows():
+        if code.n - row.count(0) == ell:
+            bit = 1 << block_count
+            for i, value in enumerate(row):
+                if value:
+                    masks[i] |= bit
+            block_count += 1
+    return masks, _require_blocks(code, ell, block_count)
 
 
 def subset_pass(

@@ -21,19 +21,25 @@ from operator import mul
 _TABLE_LIMIT = 256
 
 
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with q = p^k, or None when q is not a prime power."""
+    if q < 2:
+        return None
+    for p in range(2, q + 1):
+        if p * p > q:
+            return (q, 1)
+        if q % p == 0:
+            k = 0
+            rest = q
+            while rest % p == 0:
+                rest //= p
+                k += 1
+            return (p, k) if rest == 1 else None
+    return None
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_power(n) == (n, 1)
 
 
 def _poly_trim(c: list[int]) -> list[int]:

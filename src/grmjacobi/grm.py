@@ -24,6 +24,7 @@ module reads, and classes_of_size(t) the one check that t is 2, 3 or 4.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 from typing import Iterator, NamedTuple, Optional
@@ -171,35 +172,32 @@ class GrmCode:
         f = self.field
         return f.add(f.dot(c.lam, point), c.b)
 
-    def value_row(self, c: Codeword) -> list[int]:
-        return [self.evaluate(c, p) for p in self.points()]
-
-    def weight(self, c: Codeword) -> int:
-        return sum(1 for v in self.value_row(c) if v)
-
-    def support(self, c: Codeword) -> frozenset[int]:
-        return frozenset(i for i, v in enumerate(self.value_row(c)) if v)
-
-    def require_scan_budget(self) -> None:
-        """Refuse a scan of every codeword at every position that exceeds
-        WORK_BUDGET."""
+    def value_rows(self) -> Iterator[tuple[Codeword, list[int]]]:
+        """(codeword, its values at all n positions) in codewords() order,
+        after the budget of codewords x positions is asked.  Each
+        functional's row is evaluated once, a Field.dot per point, and
+        shifted by each b; functional_values is not read, so a scan stays
+        an oracle for the functional tally.  Callers must not change a row."""
         require_budget(self.size * self.n, f"{self.size} codewords x {self.n} positions")
+        f, points = self.field, self.points()
+
+        def rows():
+            for c in self.codewords():
+                if not c.b:  # the first word of each functional
+                    row = [f.dot(c.lam, u) for u in points]
+                yield c, [f.add(v, c.b) for v in row]
+
+        return rows()
 
     def weight_distribution(self) -> dict[int, int]:
-        """Enumerated weight -> count map (by full position scans)."""
-        self.require_scan_budget()
-        dist: dict[int, int] = {}
-        for c in self.codewords():
-            w = self.weight(c)
-            dist[w] = dist.get(w, 0) + 1
-        return dist
+        """Enumerated weight -> count map, by a scan of every codeword."""
+        return dict(Counter(self.n - row.count(0) for _, row in self.value_rows()))
 
     def shell(self, ell: int) -> list[Codeword]:
         """All codewords of weight exactly ell (possibly empty)."""
         if not 0 <= ell <= self.n:
             raise ValueError(f"weight {ell} out of range [0, {self.n}]")
-        self.require_scan_budget()
-        return [c for c in self.codewords() if self.weight(c) == ell]
+        return [c for c, row in self.value_rows() if self.n - row.count(0) == ell]
 
     def __repr__(self) -> str:
         return f"GrmCode(q={self.q}, m={self.m}, n={self.n})"

@@ -80,23 +80,25 @@ class JacobiPolynomial:
                 f"vs (t={other.t}, n={other.n})"
             )
 
+    def _ordered_terms(self) -> list[tuple[ExpKey, int]]:
+        """(key, coeff) pairs by falling e_w and e_x, then rising e_z and e_y."""
+        return sorted(
+            self.terms.items(), key=lambda kc: (-kc[0][0], -kc[0][2], kc[0][1], kc[0][3])
+        )
+
     def to_records(self) -> list[dict]:
         """Serializable term list; coefficients as decimal strings since
         they may exceed 64 bits."""
-        records = []
-        for key in sorted(self.terms, key=lambda k: (-k[0], -k[2], k[1], k[3])):
-            ew, ez, ex, ey = key
-            records.append(
-                {"e_w": ew, "e_z": ez, "e_x": ex, "e_y": ey, "coeff": str(self.terms[key])}
-            )
-        return records
+        return [
+            {"e_w": ew, "e_z": ez, "e_x": ex, "e_y": ey, "coeff": str(c)}
+            for (ew, ez, ex, ey), c in self._ordered_terms()
+        ]
 
     def pretty(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for key in sorted(self.terms, key=lambda k: (-k[0], -k[2], k[1], k[3])):
-            c = self.terms[key]
+        for key, c in self._ordered_terms():
             factors = [] if c == 1 else [str(c)]
             for name, e in zip("wzxy", key):
                 if e == 1:
@@ -144,6 +146,13 @@ def binom_conv(a_deg: int, alpha: int, b_deg: int) -> Iterator[int]:
         yield sum(u[i] * w for i, w in enumerate(window) if w)
 
 
+def _conv_steps(a_deg: int, b_deg: int) -> int:
+    """The window products binom_conv(a_deg, _, b_deg) sums: min(j, s) + 1
+    at Y^j, s the lesser degree."""
+    s = min(a_deg, b_deg)
+    return (s + 1) * (s + 2) // 2 + (a_deg + b_deg - s) * (s + 1)
+
+
 # -- brute-force Jacobi and count tables --------------------------------------
 
 
@@ -170,35 +179,27 @@ def _value_counts(code: GrmCode, points: PointSet) -> list[list[int]]:
 def jacobi_brute_force(
     code: GrmCode, points: PointSet, full_scan: bool = False
 ) -> JacobiPolynomial:
-    """Jacobi polynomial by counting every codeword.
+    """Jacobi polynomial by counting every codeword, after T is checked.
 
     By default the functional tally of T (_value_counts, O(t * q^m)
     work) gives the restricted weights: (lam, b) vanishes at u exactly
     when lam(u) = -b, so row i of the tally sums to the number of
     codewords with i zeros on T, and jacobi_from_a adds the structural
     weight outside T.  No translation is needed.  full_scan=True instead
-    evaluates every codeword at all q^m positions and serves as the
-    independent oracle for that shortcut.  T is checked first
-    (_jacobi_brute skips that, for subsets built from code.points()).
+    reads every codeword at all q^m positions from code.value_rows() and
+    serves as the independent oracle for that shortcut.
     """
     code.require_points(points)
-    return _jacobi_brute(code, points, full_scan)
-
-
-def _jacobi_brute(
-    code: GrmCode, points: PointSet, full_scan: bool = False
-) -> JacobiPolynomial:
     t, n, q = len(points), code.n, code.q
     if not full_scan:
         b = [sum(row) for row in _value_counts(code, points)]
         return jacobi_from_a(a_from_b(b, t, q), q, code.m, t)
-    code.require_scan_budget()
+    rows = code.value_rows()  # the budget, before point_index builds its map
     positions = [code.point_index(pt) for pt in points]
     terms: dict[ExpKey, int] = {}
-    for c in code.codewords():
-        row = code.value_row(c)
+    for _, row in rows:
         zeros = sum(1 for i in positions if not row[i])  # zero positions on T
-        outside = sum(1 for v in row if v) - (t - zeros)  # nonzero positions outside T
+        outside = n - row.count(0) - (t - zeros)  # nonzero positions outside T
         key = (zeros, t - zeros, (n - t) - outside, outside)
         terms[key] = terms.get(key, 0) + 1
     return JacobiPolynomial(t, n, terms)
@@ -383,13 +384,19 @@ def dual_jacobi(jac: JacobiPolynomial, code_size: int, q: int) -> JacobiPolynomi
 
     Substitutes (w + (q-1)z, w - z, x + (q-1)y, x - y), expands each input
     term by two binomial convolutions (never by naive monomial products),
-    and divides by the code size.  Division must be exact; a remainder
+    and divides by the code size.  The work, the convolutions' window
+    products plus at most (t+1)(n-t+1) products per term, is refused
+    beyond the work budget before any of it is done.  Division must be exact; a remainder
     means the input was not the Jacobi polynomial of a linear code of that
     size.
     """
     if code_size <= 0:
         raise ValueError("code size must be positive")
     t, n = jac.t, jac.n
+    steps = sum(_conv_steps(ew, ez) for ew, ez in {key[:2] for key in jac.terms}) + sum(
+        _conv_steps(ex, ey) + (t + 1) * (n - t + 1) for _, _, ex, ey in jac.terms
+    )
+    require_budget(steps, f"convolution and product steps over {len(jac.terms)} terms")
     acc: dict[ExpKey, int] = {}
     wz_cache: dict[tuple[int, int], list[int]] = {}
     for (ew, ez, ex, ey), coeff in jac.terms.items():

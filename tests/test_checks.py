@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 from functools import partial
 from itertools import combinations
@@ -46,7 +47,7 @@ def test_design_check_skips_beyond_budget(monkeypatch):
     # C(9, 3) = 84 triples x 24 blocks at (3, 1, 2); the brute-force route
     # refuses before either route enumerates anything
     monkeypatch.setattr(grm, "WORK_BUDGET", 84 * 24 - 1)
-    monkeypatch.setattr(GrmCode, "shell", lambda self, ell: pytest.fail("shell enumerated"))
+    monkeypatch.setattr(GrmCode, "value_rows", lambda self: pytest.fail("code scanned"))
     monkeypatch.setattr(designs, "closed_class_census", lambda *a: pytest.fail("census ran"))
     (result,) = run_checks(pairs=((3, 1, 2),), only=["design-triples"])
     assert (result.status, result.detail) == ("SKIP", "beyond brute-force budget")
@@ -122,6 +123,15 @@ def test_every_enumerating_check_skips_beyond_the_budget(monkeypatch, pair):
     assert {r.name: r.status for r in results if r.status != "SKIP"} == {
         "classify-invariance": "PASS"
     }
+
+
+def test_dual_transform_skips_beyond_its_budget():
+    # RM_2(1, 10): the full scan fits, the transform of its dual's
+    # 511-term enumerator does not
+    start = time.perf_counter()
+    (result,) = run_checks(pairs=((2, 1, 10),), only=["dual-transform"])
+    assert (result.status, result.detail) == ("SKIP", "beyond brute-force budget")
+    assert time.perf_counter() - start < 10
 
 
 def test_sampled_checks_never_build_the_point_list(monkeypatch):

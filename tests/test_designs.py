@@ -115,6 +115,16 @@ def test_double_counting(code_3_2, t):
     assert total == report.block_count * comb(ell, t)
 
 
+def test_brute_force_design_evaluates_each_functional_once(monkeypatch):
+    # one scan of the code: a Field.dot per functional and point, q^m x n
+    code = GrmCode(Field(3), 2)
+    calls = []
+    dot = Field.dot
+    monkeypatch.setattr(Field, "dot", lambda self, u, v: calls.append(1) or dot(self, u, v))
+    assert design_check_bruteforce(code, 6, 3).block_count == 24
+    assert len(calls) == 9 * 9
+
+
 def test_count_blocks_containing_matches_report(code_3_2):
     shell = code_3_2.shell(6)
     report = design_check_bruteforce(code_3_2, 6, 3)
@@ -177,8 +187,8 @@ def test_budget_guard(monkeypatch, code_3_2):
 
 
 def test_budget_refuses_before_enumerating_the_shell(monkeypatch):
-    code = GrmCode(Field(3), 2)  # a private instance: its shell is patched
-    monkeypatch.setattr(code, "shell", lambda ell: pytest.fail("shell enumerated"))
+    code = GrmCode(Field(3), 2)  # a private instance: its scan is patched
+    monkeypatch.setattr(code, "value_rows", lambda: pytest.fail("code scanned"))
     monkeypatch.setattr(grm, "WORK_BUDGET", 36 * 24 - 1)
     with pytest.raises(
         BudgetExceeded,

@@ -20,7 +20,8 @@ from grmjacobi import (
 from grmjacobi import Field, GrmCode, grm
 from grmjacobi.checks import DEFAULT_PAIRS
 from grmjacobi.grm import BudgetExceeded, _census_chunk, closed_class_census
-from grmjacobi.jacobi import closed_weight_distribution
+from grmjacobi.designs import block_masks
+from grmjacobi.jacobi import closed_weight_distribution, jacobi_brute_force
 
 from conftest import SMALL_CODES, get_code
 from test_acceptance import ACCEPTANCE_PAIRS
@@ -61,15 +62,24 @@ def test_weight_distribution_matches_three_shell_pattern(code_3_2):
 
 
 def test_weights_and_supports(code_3_2):
+    rows = dict(code_3_2.value_rows())
     zero = Codeword((0, 0), 0)
     const = Codeword((0, 0), 2)
     affine = Codeword((1, 0), 1)
-    assert code_3_2.weight(zero) == 0
-    assert code_3_2.weight(const) == 9
-    assert code_3_2.weight(affine) == 6
-    assert code_3_2.support(affine) == frozenset(
+    assert rows[zero] == [0] * 9
+    assert rows[const] == [2] * 9
+    assert [i for i, v in enumerate(rows[affine]) if v] == [
         i for i, p in enumerate(code_3_2.points()) if (p[0] + 1) % 3 != 0
-    )
+    ]
+
+
+@pytest.mark.parametrize("p,k,m", SMALL_CODES)
+def test_value_rows_equal_evaluation_at_each_position(p, k, m):
+    code = get_code(p, k, m)
+    scanned = list(code.value_rows())
+    assert [c for c, _ in scanned] == list(code.codewords())
+    for c, row in scanned:
+        assert row == [code.evaluate(c, u) for u in code.points()]
 
 
 def test_shells(code_3_2):
@@ -85,8 +95,16 @@ def test_codeword_scans_refuse_beyond_budget(monkeypatch, code_3_2):
     monkeypatch.setattr(grm, "WORK_BUDGET", 27 * 9 - 1)
     with pytest.raises(BudgetExceeded, match="^27 codewords x 9 positions = 243 "):
         code_3_2.weight_distribution()
-    with pytest.raises(BudgetExceeded):
-        code_3_2.shell(6)
+    scans = (
+        lambda: list(code_3_2.value_rows()),
+        lambda: code_3_2.shell(6),
+        lambda: jacobi_brute_force(code_3_2, ((0, 0),), full_scan=True),
+        # C(9, 2) pairs x 2 blocks fits; the scan of the code does not
+        lambda: block_masks(code_3_2, 9, 2),
+    )
+    for scan in scans:
+        with pytest.raises(BudgetExceeded, match="^27 codewords x 9 positions = 243 "):
+            scan()
     monkeypatch.setattr(grm, "WORK_BUDGET", 27 * 9)
     assert len(code_3_2.shell(6)) == 24
 

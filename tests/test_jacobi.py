@@ -24,7 +24,7 @@ from grmjacobi import (
     jacobi_from_a,
     rank_difference_identity,
 )
-from grmjacobi import GrmCode, grm
+from grmjacobi import GrmCode, grm, jacobi
 from grmjacobi.grm import BudgetExceeded, translate_T
 from grmjacobi.jacobi import _value_counts, binom_conv
 
@@ -409,6 +409,21 @@ def test_dual_eval_and_involution(p, k, m):
         dual = dual_jacobi(jac, code.size, q)
         assert dual.evaluate(1, 1, 1, 1) == dual_size
         assert dual_jacobi(dual, dual_size, q) == jac
+
+
+def test_dual_transform_refuses_beyond_budget(monkeypatch, code_2_2):
+    primal = jacobi_brute_force(code_2_2, (), full_scan=True)
+    # window products: 1 for w^0 z^0, then 5 + 12 + 5 for x^4, x^2 y^2 and
+    # y^4; and 1 x 5 products per term
+    monkeypatch.setattr(grm, "WORK_BUDGET", 37)
+    monkeypatch.setattr(jacobi, "binom_conv", lambda *a: pytest.fail("convolved"))
+    with pytest.raises(
+        BudgetExceeded, match="^convolution and product steps over 3 terms = 38 exceeds"
+    ):
+        dual_jacobi(primal, 8, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(grm, "WORK_BUDGET", 38)
+    assert dual_jacobi(primal, 8, 2).evaluate(1, 1, 1, 1) == 2
 
 
 def test_dual_division_check():
