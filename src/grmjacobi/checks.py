@@ -210,7 +210,7 @@ class SubsetPasses:
         for kind in COMPARES:
             if f"{kind}-{word}" in self.names:
                 try:
-                    # the tally's own budget, asked once before the pass
+                    # the tally's budget, asked once before the pass
                     require_budget(t * code.n, f"{t} points x {code.n} functional values")
                     tally = True
                 except BudgetExceeded as refusal:
@@ -315,12 +315,15 @@ def _sweep_check(t: int, kind: str, census: bool = False):
 
 
 def check_count_route(code: GrmCode, passes: SubsetPasses) -> tuple:
-    """count_tables -> a -> assembled polynomial must equal brute force,
-    including for subsets that do not contain the zero point.  Both read
-    the same functional tally, so this checks count_tables' translation;
-    the tally's oracles are the closed forms and the full scan."""
+    """The count route on T moved so that its V-least point is 0 (the
+    paper's setting), count_tables -> a -> assembled polynomial, must equal
+    brute force on T itself.  Both read the same functional tally, so this
+    checks that the tally does not change under translation; the tally's
+    oracles are the closed forms and the full scan."""
+    f = code.field
     for t, sub, points in _sampled(code, random.Random(SAMPLE_SEED + 1), 40):
-        assembled = jacobi_from_a(count_tables(code, points).a, code.q, code.m, t)
+        at_zero = translate_T(f, points, tuple(f.neg(x) for x in min(points)))
+        assembled = jacobi_from_a(count_tables(code, at_zero).a, code.q, code.m, t)
         if assembled != jacobi_brute_force(code, points):
             return FAIL, "", {"T": list(sub), "t": t}
     return PASS, "sampled subsets, sizes 2-4"
@@ -418,9 +421,11 @@ def check_dual_transform(code: GrmCode, passes: SubsetPasses) -> tuple:
 
 def check_dual_enumerator(code: GrmCode, passes: SubsetPasses) -> tuple:
     q, m = code.q, code.m
-    via_stream = dual_weight_enumerator(q, m)
+    # the budgeted full scan and transform first: a code beyond the budget
+    # is refused before the unbudgeted enumerator is built
     primal = jacobi_brute_force(code, (), full_scan=True)
     via_transform = dual_jacobi(primal, code.size, q)
+    via_stream = dual_weight_enumerator(q, m)
     got = {ey: c for (_, _, _, ey), c in via_transform.terms.items()}
     if got != via_stream:
         return FAIL, "", {"stream": via_stream, "transform": got}

@@ -287,7 +287,15 @@ def cmd_scan(args) -> int:
 
 def cmd_enum(args) -> int:
     code = _make_code(args)
-    dist = code.weight_distribution()
+    if args.l is not None:
+        code.require_weight(args.l)
+    dist: dict[int, int] = {}
+    shell = []  # the words of weight --l, from the same scan
+    for c, row in code.value_rows():
+        weight = code.n - row.count(0)
+        dist[weight] = dist.get(weight, 0) + 1
+        if weight == args.l:
+            shell.append(c)
     out = {
         "q": code.q,
         "m": code.m,
@@ -300,7 +308,6 @@ def cmd_enum(args) -> int:
     pretty = [f"RM_{code.q}(1, {code.m}): length {code.n}, {code.size} codewords"]
     pretty += [f"  weight {w}: {dist[w]} codewords" for w in sorted(dist)]
     if args.l is not None:
-        shell = code.shell(args.l)
         out["shell"] = {
             "l": args.l,
             "codewords": [{"lam": list(c.lam), "b": c.b} for c in shell],

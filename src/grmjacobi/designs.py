@@ -34,7 +34,7 @@ from .jacobi import (
     closed_weight_distribution,
     jacobi_closed_form,
     middle_shell_weight,
-    _value_counts,
+    _row_sums,
 )
 from ._parallel import run_chunks, split
 
@@ -95,11 +95,6 @@ def route_disagreement(
     return None
 
 
-def _require_weight(code: GrmCode, ell: int) -> None:
-    if not 0 <= ell <= code.n:
-        raise ValueError(f"weight {ell} out of range [0, {code.n}]")
-
-
 def _require_blocks(code: GrmCode, ell: int, count: int) -> int:
     if not count:
         raise ValueError(f"shell of weight {ell} is empty for {code!r}")
@@ -115,7 +110,7 @@ def design_check_jacobi(code: GrmCode, ell: int, t: int) -> DesignReport:
     the block count is read off the closed-form weight distribution.
     """
     classes_of_size(t)
-    _require_weight(code, ell)
+    code.require_weight(ell)
     block_count = _require_blocks(
         code, ell, closed_weight_distribution(code.q, code.m).get(ell, 0)
     )
@@ -172,7 +167,7 @@ def block_masks(code: GrmCode, ell: int, t: int) -> tuple[list[int], int]:
     its own error).
     """
     classes_of_size(t)
-    _require_weight(code, ell)
+    code.require_weight(ell)
     expected = closed_weight_distribution(code.q, code.m).get(ell, 0)
     require_budget(
         math.comb(code.n, t) * max(expected, 1),
@@ -195,8 +190,9 @@ def subset_pass(
 ) -> dict[tuple, list]:
     """One pass over subsets (tuples of position indices), each decoded and
     classified once.  Its profile is (class, b, blocks): b the row sums of
-    its untranslated functional tally if `tally`, blocks the number of
-    blocks through it if block masks are given, else None.  Returns
+    its functional tally if `tally` (the caller asks the tally's budget),
+    blocks the number of blocks through it if block masks are given, else
+    None.  Returns
     profile -> [first subset, number of subsets] in order of first
     occurrence: the chunks run on up to `workers` processes and merge in
     chunk order.
@@ -220,7 +216,7 @@ def _pass_chunk(code: GrmCode, tally: bool, masks, every: bool, subsets) -> dict
         points = tuple(map(decode, sub))
         profile = (
             _classify(code, points),
-            tuple(map(sum, _value_counts(code, points))) if tally else None,
+            _row_sums(code, points) if tally else None,
             None if masks is None else _blocks_through(masks, sub),
         )
         profiles.setdefault(profile, [sub, 0])[1] += 1

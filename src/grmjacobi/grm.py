@@ -193,10 +193,14 @@ class GrmCode:
         """Enumerated weight -> count map, by a scan of every codeword."""
         return dict(Counter(self.n - row.count(0) for _, row in self.value_rows()))
 
-    def shell(self, ell: int) -> list[Codeword]:
-        """All codewords of weight exactly ell (possibly empty)."""
+    def require_weight(self, ell: int) -> None:
+        """Refuse a weight outside [0, n]."""
         if not 0 <= ell <= self.n:
             raise ValueError(f"weight {ell} out of range [0, {self.n}]")
+
+    def shell(self, ell: int) -> list[Codeword]:
+        """All codewords of weight exactly ell (possibly empty)."""
+        self.require_weight(ell)
         return [c for c, row in self.value_rows() if self.n - row.count(0) == ell]
 
     def __repr__(self) -> str:
@@ -209,10 +213,6 @@ class GrmCode:
 def translate_T(field: Field, points: PointSet, v: Point) -> PointSet:
     """Shift every point of T by v."""
     return tuple(tuple(field.add(a, b) for a, b in zip(p, v)) for p in points)
-
-
-def _neg_point(field: Field, p: Point) -> Point:
-    return tuple(field.neg(a) for a in p)
 
 
 _UNIT_TAGS = ([1, 0, 0], [0, 1, 0], [0, 0, 1])

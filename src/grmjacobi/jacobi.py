@@ -24,8 +24,6 @@ from .grm import (
     TClass,
     classes_of_size,
     require_budget,
-    translate_T,
-    _neg_point,
 )
 
 ExpKey = tuple[int, int, int, int]
@@ -156,24 +154,34 @@ def _conv_steps(a_deg: int, b_deg: int) -> int:
 # -- brute-force Jacobi and count tables --------------------------------------
 
 
-def _value_counts(code: GrmCode, points: PointSet) -> list[list[int]]:
-    """Entry [i][j] counts the q^m functionals that take value j on exactly
-    i points of T: the one tally behind brute force and count tables.
+def _row_sums(code: GrmCode, points: PointSet) -> tuple[int, ...]:
+    """b[i] counts the pairs (lam, j) of a functional and a value that lam
+    takes on exactly i points of T: the one tally behind brute force, count
+    tables and the subset pass.  Its callers ask its budget of t x n
+    functional values.
 
     Each point contributes its memoized column of functional values, and
     each distinct value tuple is tallied once with its multiplicity.
+    Every row sum, and so every a_i, is the same on each translate of T:
+    on T + v each functional takes its values on T shifted by lam(v).
     """
-    t, q = len(points), code.q
-    require_budget(t * code.n, f"{t} points x {code.n} functional values")
+    b = [0] * (len(points) + 1)
     columns = [code.functional_values(u) for u in points]
-    counts = [[0] * q for _ in range(t + 1)]
     for values, mult in (Counter(zip(*columns)) if columns else {(): code.n}).items():
-        tally = [0] * q
-        for v in values:
-            tally[v] += 1
-        for j, hits in enumerate(tally):
-            counts[hits][j] += mult
-    return counts
+        hit = set(values)
+        b[0] += (code.q - len(hit)) * mult
+        for v in hit:
+            b[values.count(v)] += mult
+    return tuple(b)
+
+
+def _tally(code: GrmCode, points: PointSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(b, a) of T after T is checked and the tally's budget asked."""
+    code.require_points(points)
+    t = len(points)
+    require_budget(t * code.n, f"{t} points x {code.n} functional values")
+    b = _row_sums(code, points)
+    return b, a_from_b(b, t, code.q)
 
 
 def jacobi_brute_force(
@@ -181,19 +189,19 @@ def jacobi_brute_force(
 ) -> JacobiPolynomial:
     """Jacobi polynomial by counting every codeword, after T is checked.
 
-    By default the functional tally of T (_value_counts, O(t * q^m)
-    work) gives the restricted weights: (lam, b) vanishes at u exactly
-    when lam(u) = -b, so row i of the tally sums to the number of
-    codewords with i zeros on T, and jacobi_from_a adds the structural
-    weight outside T.  No translation is needed.  full_scan=True instead
-    reads every codeword at all q^m positions from code.value_rows() and
-    serves as the independent oracle for that shortcut.
+    By default the functional tally of T (_row_sums, O(t * q^m) work)
+    gives the restricted weights: (lam, b) vanishes at u exactly when
+    lam(u) = -b, so b_i is the number of codewords with i zeros on T, and
+    jacobi_from_a adds the structural weight outside T.  full_scan=True
+    instead reads every codeword at all q^m positions from
+    code.value_rows() and serves as the independent oracle for that
+    shortcut.
     """
-    code.require_points(points)
-    t, n, q = len(points), code.n, code.q
     if not full_scan:
-        b = [sum(row) for row in _value_counts(code, points)]
-        return jacobi_from_a(a_from_b(b, t, q), q, code.m, t)
+        _, a = _tally(code, points)
+        return jacobi_from_a(a, code.q, code.m, len(points))
+    code.require_points(points)
+    t, n = len(points), code.n
     rows = code.value_rows()  # the budget, before point_index builds its map
     positions = [code.point_index(pt) for pt in points]
     terms: dict[ExpKey, int] = {}
@@ -206,16 +214,12 @@ def jacobi_brute_force(
 
 
 class CountTables(NamedTuple):
-    """Functional counts over V* for a position set containing 0.
-
-    b_by_value[i][j] counts functionals taking value j on exactly i points
-    of T; b[i] are the row sums; a[i] counts non-constant codewords whose
-    restriction to T has weight i.
-    """
+    """Functional counts over V*: b[i] counts the pairs of a functional
+    and a value it takes on exactly i points of T; a[i] counts the
+    non-constant codewords whose restriction to T has weight i."""
 
     t: int
     q: int
-    b_by_value: tuple[tuple[int, ...], ...]
     b: tuple[int, ...]
     a: tuple[int, ...]
 
@@ -235,27 +239,10 @@ def a_from_b(b, t: int, q: int) -> tuple[int, ...]:
 
 def count_tables(code: GrmCode, points: PointSet) -> CountTables:
     """The functional tally of T, after T is checked (distinct points of
-    V; the empty T is allowed) and translated so that its V-least point
-    becomes 0.  Only b_by_value depends on the translation: on T + v each
-    functional lam takes the values it takes on T shifted by lam(v), so
-    each row sum b_i, and a with it, is the same on every translate.
-    That is why `verify`'s subset pass tallies each subset untranslated.
-    """
-    code.require_points(points)
-    t = len(points)
-    pts = tuple(sorted(points))
-    if pts and any(pts[0]):
-        f = code.field
-        pts = translate_T(f, pts, _neg_point(f, pts[0]))
-    b_by_value = _value_counts(code, pts)
-    b = tuple(sum(row) for row in b_by_value)
-    return CountTables(
-        t=t,
-        q=code.q,
-        b_by_value=tuple(tuple(row) for row in b_by_value),
-        b=b,
-        a=a_from_b(b, t, code.q),
-    )
+    V; the empty T is allowed).  It is the same on every translate of T
+    (see _row_sums), so T is tallied as given."""
+    b, a = _tally(code, points)
+    return CountTables(t=len(points), q=code.q, b=b, a=a)
 
 
 def jacobi_from_a(a, q: int, m: int, t: int) -> JacobiPolynomial:

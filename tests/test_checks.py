@@ -134,6 +134,18 @@ def test_dual_transform_skips_beyond_its_budget():
     assert time.perf_counter() - start < 10
 
 
+def test_dual_enumerator_asks_the_budget_before_the_enumerator(monkeypatch):
+    # RM_343(1, 3): the dual enumerator has no budget of its own and would
+    # hold q^m + 1 huge counts, so the check's budgeted full scan must
+    # refuse the code first
+    monkeypatch.setattr(grm, "WORK_BUDGET", 10**6)
+    monkeypatch.setattr(
+        checks, "dual_weight_enumerator", lambda q, m: pytest.fail("enumerator built")
+    )
+    (result,) = run_checks(pairs=((7, 3, 3),), only=["dual-enumerator"])
+    assert (result.status, result.detail) == ("SKIP", "beyond brute-force budget")
+
+
 def test_sampled_checks_never_build_the_point_list(monkeypatch):
     # 2^11 points: C(2048, 2) pairs is beyond the full sweep, so jacobi-pairs
     # samples too; each sampled index is decoded into its point on its own
@@ -194,8 +206,8 @@ def test_only_the_requested_compares_run(monkeypatch):
     (result,) = run_checks(pairs=((3, 1, 2),), only=["jacobi-quads"])
     assert result.status == "PASS"
     monkeypatch.undo()
-    monkeypatch.setattr(designs, "_value_counts", lambda *a: pytest.fail("tally ran"))
-    monkeypatch.setattr(jacobi, "_value_counts", lambda *a: pytest.fail("tally ran"))
+    monkeypatch.setattr(designs, "_row_sums", lambda *a: pytest.fail("tally ran"))
+    monkeypatch.setattr(jacobi, "_row_sums", lambda *a: pytest.fail("tally ran"))
     (result,) = run_checks(pairs=((3, 1, 2),), only=["design-quads"])
     assert result.status == "PASS"
 
@@ -255,15 +267,15 @@ def test_support_scalars_reports_the_first_counterexample(monkeypatch):
 
 def test_each_swept_subset_is_tallied_once(monkeypatch):
     # jacobi- and count-tables- checks of one size share one tally per
-    # subset; neither translates it through count_tables
-    honest = designs._value_counts
+    # subset; neither reads it through count_tables
+    honest = designs._row_sums
     calls = []
 
     def counting(code, points):
         calls.append(points)
         return honest(code, points)
 
-    monkeypatch.setattr(designs, "_value_counts", counting)
+    monkeypatch.setattr(designs, "_row_sums", counting)
     for module in (checks, jacobi):
         monkeypatch.setattr(module, "count_tables", lambda *a: pytest.fail("count tables ran"))
     results = run_checks(pairs=((3, 1, 2),), only=["jacobi-triples", "count-tables-triples"])
@@ -283,16 +295,15 @@ def test_the_first_failing_subset_is_reported(monkeypatch, workers, perturbed, f
     # collinear.  The pool forks, so the workers see the patched tally.
     code = GrmCode(Field(3), 2)
     targets = {tuple(code.points()[i] for i in TRIPLES_3_2[j]) for j in perturbed}
-    honest = designs._value_counts
+    honest = designs._row_sums
 
     def perturbed_tally(code, points):
-        counts = honest(code, points)
-        if points in targets:  # one functional moved from row 0 to row 1
-            counts[0][0] -= 1
-            counts[1][0] += 1
-        return counts
+        b = honest(code, points)
+        if points in targets:  # one (functional, value) moved from b_0 to b_1
+            b = (b[0] - 1, b[1] + 1) + b[2:]
+        return b
 
-    monkeypatch.setattr(designs, "_value_counts", perturbed_tally)
+    monkeypatch.setattr(designs, "_row_sums", perturbed_tally)
     only = ["jacobi-triples", "count-tables-triples"]
     results = run_checks(pairs=((3, 1, 2),), only=only, workers=workers)
     assert [r.status for r in results] == ["FAIL", "FAIL"]

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import grmjacobi
-from grmjacobi import conjecture
+from grmjacobi import Field, GrmCode, conjecture
 from grmjacobi.cli import main, parse_bound, parse_points
 
 
@@ -508,6 +508,29 @@ def test_enum_distribution_and_shell(capsys, schema):
         {"weight": 9, "count": "2"},
     ]
     assert len(payload["shell"]["codewords"]) == 24
+
+
+def test_enum_scans_the_code_once(capsys, monkeypatch):
+    # one Field.dot per functional and point of RM_3(1, 2), 9 x 9, also
+    # when the shell of --l comes with the weight distribution
+    honest, calls = Field.dot, []
+
+    def counting(self, u, v):
+        calls.append(None)
+        return honest(self, u, v)
+
+    monkeypatch.setattr(Field, "dot", counting)
+    for argv in (["enum", "--p", "3", "--m", "2"], ["enum", "--p", "3", "--m", "2", "--l", "6"]):
+        calls.clear()
+        assert run_cli(capsys, argv)[0] == 0
+        assert len(calls) == 81
+
+
+def test_enum_refuses_a_weight_out_of_range_before_any_scan(capsys, monkeypatch):
+    monkeypatch.setattr(GrmCode, "value_rows", lambda self: pytest.fail("code scanned"))
+    code, out, err = run_cli(capsys, ["enum", "--p", "3", "--m", "2", "--l", "10"])
+    assert code == 1 and out == ""
+    assert err == "error: weight 10 out of range [0, 9]\n"
 
 
 @pytest.mark.parametrize(

@@ -203,6 +203,14 @@ def test_scan_coefficients_equal_direct_sum(q, m):
         assert s.diff_coeff == dual_diff_coefficient(q, m, s.ell)
 
 
+def test_scan_pair_builds_no_code(monkeypatch):
+    # a pair that reaches the shells has q >= 3 and m >= 2, where both
+    # triple classes occur, so no code is built to look for witnesses
+    monkeypatch.setattr(GrmCode, "__init__", lambda *a: pytest.fail("code built"))
+    for q, m in ((3, 2), (4, 2), (3, 3), (8, 2)):
+        assert scan_pair(q, m).verdict == CONFIRMED
+
+
 def test_scan_pair_m1_is_skipped():
     res = scan_pair(5, 1)
     assert res.verdict == SKIPPED

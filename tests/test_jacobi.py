@@ -12,6 +12,7 @@ from grmjacobi import (
     JacobiPolynomial,
     TClass,
     a_from_b,
+    classes_of_size,
     classify_T,
     closed_form_a,
     closed_form_b,
@@ -26,7 +27,7 @@ from grmjacobi import (
 )
 from grmjacobi import GrmCode, grm, jacobi
 from grmjacobi.grm import BudgetExceeded, translate_T
-from grmjacobi.jacobi import _value_counts, binom_conv
+from grmjacobi.jacobi import _row_sums, binom_conv
 
 from conftest import SMALL_CODES, get_code
 
@@ -130,14 +131,14 @@ def test_brute_force_agrees_with_every_route(case):
 @given(code_and_points(), st.data())
 def test_tally_row_sums_do_not_change_under_translation(case, data):
     # each functional's values on T + v are its values on T shifted by a
-    # constant, so each row of the tally is permuted and keeps its sum;
-    # count_tables translates T and must report the untranslated sums
+    # constant, so the values it takes on exactly i points are permuted
+    # and their number b_i is kept
     code, T = case
     v = data.draw(st.sampled_from(code.points()))
-    row_sums = [sum(row) for row in _value_counts(code, T)]
+    row_sums = _row_sums(code, T)
     shifted = translate_T(code.field, T, v)
-    assert [sum(row) for row in _value_counts(code, shifted)] == row_sums
-    assert list(count_tables(code, T).b) == row_sums
+    assert _row_sums(code, shifted) == row_sums
+    assert count_tables(code, T).b == row_sums
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -263,13 +264,12 @@ def test_count_tables_triple_examples(code_3_2):
 def test_count_tables_column_sums(code_3_2):
     for T in subsets(code_3_2, 3, count=10):
         tables = count_tables(code_3_2, T)
-        for j in range(3):
-            assert sum(row[j] for row in tables.b_by_value) == 9
+        assert sum(tables.b) == 9 * 3  # every (functional, value) pair once
         assert sum(tables.a) == 27 - 3
 
 
 def test_count_tables_translates_first(code_3_2):
-    # same table whether or not T contains the zero point
+    # same tables whether or not T contains the zero point
     with_zero = count_tables(code_3_2, ((0, 0), (1, 0), (0, 1)))
     shifted = count_tables(code_3_2, ((2, 2), (0, 2), (2, 0)))
     assert with_zero.b == shifted.b and with_zero.a == shifted.a
@@ -288,8 +288,22 @@ def test_count_tables_checks_its_points():
 
 def test_count_tables_of_the_empty_set(code_3_2):
     tables = count_tables(code_3_2, ())
-    assert tables.b_by_value == ((9, 9, 9),)
+    assert sum(tables.b) == 9 * 3
     assert tables.b == (27,) and tables.a == (24,)
+
+
+def test_closed_b_is_the_b_that_a_from_b_maps_to_closed_a():
+    # a_from_b reverses b and shifts two entries, so it is one-to-one: where
+    # a profile's a matches the closed a, its b matches the closed b too,
+    # and count_mismatch's "b" branch fires only if the two closed forms
+    # disagree.  Both are formulas, so q runs over integers, prime powers
+    # or not.  No line of GF(2)^m holds three points, so the rank-1 triple
+    # starts at q = 3 (at q = 2 its formula's a_3 is -1).
+    for cls in classes_of_size(2) + classes_of_size(3):
+        for q in range(3 if cls == TClass(3, 1) else 2, 14):
+            for m in range(cls.rank, 7):
+                b = closed_form_b(cls, q, m)
+                assert a_from_b(b, cls.t, q) == closed_form_a(cls, q, m), (cls, q, m)
 
 
 def test_closed_b_vectors_match_enumeration():

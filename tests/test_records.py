@@ -27,8 +27,7 @@ RECORDS = [
     (ClassParams, dict(tclass=T3_RANK1, lam=None, nonempty=True)),
     (GeneralizedDesignParams, dict(v=9, k=6, t=3, classes=(
         ClassParams(T3_RANK2, 2, True), ClassParams(T3_RANK1, None, True)))),
-    (CountTables, dict(t=2, q=3, b_by_value=((2, 2, 2), (2, 2, 2), (2, 2, 2)),
-                       b=(6, 6, 6), a=(2, 12, 12))),
+    (CountTables, dict(t=2, q=3, b=(6, 6, 6), a=(2, 12, 12))),
 ]
 
 
