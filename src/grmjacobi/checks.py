@@ -20,6 +20,7 @@ closed form, which is the same as comparing the two Jacobi polynomials
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations, permutations, product
 from math import comb
 from typing import NamedTuple
@@ -51,6 +52,7 @@ from .jacobi import (
     jacobi_from_a,
     middle_shell_weight,
     rank_difference_identity,
+    require_tally_budget,
 )
 from .conjecture import dual_diff_coefficient, dual_weight_enumerator
 from .designs import (
@@ -101,8 +103,19 @@ def sample_subsets(n: int, t: int, count: int, seed: int = SAMPLE_SEED) -> list[
     rng = random.Random(seed)
     seen: set[tuple[int, ...]] = set()
     while len(seen) < count:
-        seen.add(tuple(sorted(rng.sample(range(n), t))))
+        seen.add(tuple(sorted(_draw(rng, n, t))))
     return sorted(seen)
+
+
+def _draw(rng: random.Random, n: int, t: int):
+    """t distinct draws from range(n); rng.sample beyond n = sys.maxsize,
+    where range(n) has no length, one draw at a time."""
+    if n <= sys.maxsize:
+        return rng.sample(range(n), t)
+    sub: set[int] = set()
+    while len(sub) < t:
+        sub.add(rng.randrange(n))
+    return sub
 
 
 def subsets_for_sweep(code: GrmCode, t: int) -> tuple[list[tuple[int, ...]], str]:
@@ -211,7 +224,7 @@ class SubsetPasses:
             if f"{kind}-{word}" in self.names:
                 try:
                     # the tally's budget, asked once before the pass
-                    require_budget(t * code.n, f"{t} points x {code.n} functional values")
+                    require_tally_budget(code, t)
                     tally = True
                 except BudgetExceeded as refusal:
                     refusals[kind] = refusal
@@ -333,7 +346,7 @@ def check_translation_invariance(code: GrmCode, passes: SubsetPasses) -> tuple:
     rng = random.Random(SAMPLE_SEED + 2)
     for t, sub, points in _sampled(code, rng, 12):
         base = jacobi_brute_force(code, points)
-        shifts = [code.point(i) for i in rng.sample(range(code.n), min(4, code.n))]
+        shifts = [code.point(i) for i in _draw(rng, code.n, min(4, code.n))]
         for v in shifts:
             shifted = translate_T(code.field, points, v)
             if len(set(shifted)) == t and jacobi_brute_force(code, shifted) != base:
@@ -352,7 +365,7 @@ def check_classify_invariance(code: GrmCode, passes: SubsetPasses) -> tuple:
         # shifting by -u moves each u of T to zero in turn, so every
         # point serves as the base once; a few random shifts on top
         shifts = [tuple(f.neg(x) for x in p) for p in points]
-        shifts += [code.point(i) for i in rng.sample(range(code.n), min(3, code.n))]
+        shifts += [code.point(i) for i in _draw(rng, code.n, min(3, code.n))]
         for v in shifts:
             if classify_T(code, translate_T(f, points, v)) != expected:
                 return FAIL, "translation", {"T": list(sub), "shift": list(v)}

@@ -41,6 +41,9 @@ PointSet = tuple[Point, ...]
 # functional values, subsets, or subsets x blocks.
 WORK_BUDGET = 5 * 10**7
 
+# Largest code length, in bits, that a GrmCode is built for: it computes q^m.
+LENGTH_BITS = 2**20
+
 
 class BudgetExceeded(ValueError):
     """An enumeration would do more work than WORK_BUDGET."""
@@ -87,17 +90,20 @@ def classes_of_size(t: int) -> tuple[TClass, ...]:
 class GrmCode:
     """RM_q(1, m): length q^m, q^(m+1) codewords, all structure lazy.
 
-    functional_values(u) is the column of lam(u) over all q^m functionals;
-    the brute-force and count-table routes read one such column per point
-    of T.  Columns are memoized per point, so a sweep over many subsets
-    builds each column once.  The memo is emptied before it would hold more
-    than WORK_BUDGET values, the most one brute-force call may hold anyway,
-    and it is left out when the code is pickled for a worker.
+    value_mask(u) is one bit per pair of a functional and a value, set
+    where the functional takes that value at u; the functional tally of
+    brute force, count tables and the subset pass adds the masks of the
+    points of T.  Masks are memoized per point, so a sweep over many
+    subsets builds each mask once.  The memo is emptied before it would
+    hold more than WORK_BUDGET 64-bit words, and it is left out when the
+    code is pickled.
     """
 
     def __init__(self, field: Field, m: int):
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
+        if m * field.q.bit_length() > LENGTH_BITS:
+            raise ValueError(f"code length {field.q}^{m} has more than {LENGTH_BITS} bits")
         self.field = field
         self.m = m
         self.q = field.q
@@ -105,10 +111,11 @@ class GrmCode:
         self.size = field.q ** (m + 1)
         self._points: list[Point] | None = None
         self._point_index: dict[Point, int] | None = None
-        self._columns: dict[Point, list[int]] = {}
+        self.mask_words = -(-self.size // 64)  # 64-bit words of one value mask
+        self._masks: dict[Point, int] = {}
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_columns": {}}
+        return {**self.__dict__, "_masks": {}}
 
     # -- coordinates ---------------------------------------------------
 
@@ -152,21 +159,39 @@ class GrmCode:
             for b in range(self.q):
                 yield Codeword(lam, b)
 
-    def functional_values(self, u: Point) -> list[int]:
-        """lam(u) for all q^m functionals lam, in codewords() order of lam,
-        built by m outer additions of the multiples of u's coordinates.
-        The list is shared with later calls: callers must not change it."""
-        values = self._columns.get(u)
-        if values is None:
-            f = self.field
-            values = [0]
-            for c in u:
-                values = f.outer_sum(values, f.scale(c, f.elements()))
-            if (len(self._columns) + 1) * self.n > WORK_BUDGET:
-                self._columns.clear()
-            if self.n <= WORK_BUDGET:
-                self._columns[u] = values
-        return values
+    def value_mask(self, u: Point) -> int:
+        """The int whose bit v*n + j is set when functional j (in
+        codewords() order of lam) takes the value v at u: q*n = q^(m+1)
+        bits, n of them set.  The int is shared with later calls."""
+        mask = self._masks.get(u)
+        if mask is None:
+            mask = self._build_mask(u)
+            if (len(self._masks) + 1) * self.mask_words > WORK_BUDGET:
+                self._masks.clear()
+            if self.mask_words <= WORK_BUDGET:
+                self._masks[u] = mask
+        return mask
+
+    def _build_mask(self, u: Point) -> int:
+        """value_mask(u), one coordinate of u at a time from the last.
+
+        blocks[w] has bit j set when functional j on the coordinates taken
+        so far, N of them, takes the value w there.  Taking the coordinate
+        c before them, functional lam*N + j takes the value lam*c + w, so
+        the new block of value v lays out blocks[v - lam*c] for lam = 0,
+        1, ..., q - 1, N bits each.  The mask lays out the last blocks by
+        value.  Each step is q*q block placements and a pass over bytes."""
+        f, q = self.field, self.q
+        elements = f.elements()
+        blocks = [0] * q
+        for lam in elements:
+            blocks[f.mul(lam, u[-1])] |= 1 << lam
+        width = q
+        for c in reversed(u[:-1]):
+            order = f.outer_sum(elements, f.scale(f.neg(c), elements))  # row v: v - lam*c
+            blocks = _lay_out(blocks, [order[v * q : (v + 1) * q] for v in elements], width)
+            width *= q
+        return _lay_out(blocks, [elements], width)[0]
 
     def evaluate(self, c: Codeword, point: Point) -> int:
         f = self.field
@@ -176,8 +201,8 @@ class GrmCode:
         """(codeword, its values at all n positions) in codewords() order,
         after the budget of codewords x positions is asked.  Each
         functional's row is evaluated once, a Field.dot per point, and
-        shifted by each b; functional_values is not read, so a scan stays
-        an oracle for the functional tally.  Callers must not change a row."""
+        shifted by each b; value_mask is not read, so a scan stays an
+        oracle for the functional tally.  Callers must not change a row."""
         require_budget(self.size * self.n, f"{self.size} codewords x {self.n} positions")
         f, points = self.field, self.points()
 
@@ -205,6 +230,25 @@ class GrmCode:
 
     def __repr__(self) -> str:
         return f"GrmCode(q={self.q}, m={self.m}, n={self.n})"
+
+
+def _lay_out(blocks: list[int], rows, width: int) -> list[int]:
+    """For each row of indices into blocks, the int that holds
+    blocks[row[i]] at bits i*width up to (i + 1)*width, built through
+    bytes in time linear in its length."""
+    if width % 8 == 0:
+        parts = [block.to_bytes(width // 8, "little") for block in blocks]
+        return [int.from_bytes(b"".join([parts[w] for w in row]), "little") for row in rows]
+    laid = []
+    for row in rows:
+        chunks = []
+        for start in range(0, len(row), 8):  # eight blocks fill `width` whole bytes
+            group = 0
+            for w in reversed(row[start : start + 8]):
+                group = group << width | blocks[w]
+            chunks.append(group.to_bytes(width, "little"))
+        laid.append(int.from_bytes(b"".join(chunks), "little"))
+    return laid
 
 
 # -- point-set utilities -----------------------------------------------

@@ -12,7 +12,7 @@ weight enumerator: x^(n-w) y^w counts the codewords of weight w.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from functools import cache
 from typing import Iterator, NamedTuple
 
@@ -155,31 +155,51 @@ def _conv_steps(a_deg: int, b_deg: int) -> int:
 
 
 def _row_sums(code: GrmCode, points: PointSet) -> tuple[int, ...]:
-    """b[i] counts the pairs (lam, j) of a functional and a value that lam
+    """b[i] counts the pairs (lam, v) of a functional and a value that lam
     takes on exactly i points of T: the one tally behind brute force, count
-    tables and the subset pass.  Its callers ask its budget of t x n
-    functional values.
+    tables and the subset pass.  Its callers ask require_tally_budget.
 
-    Each point contributes its memoized column of functional values, and
-    each distinct value tuple is tallied once with its multiplicity.
-    Every row sum, and so every a_i, is the same on each translate of T:
-    on T + v each functional takes its values on T shifted by lam(v).
+    Each point's value mask (GrmCode.value_mask) holds one bit per pair.
+    The masks are added into bit-sliced counters, planes[k] holding bit k
+    of every pair's count, so each word operation counts 64 pairs; b[i]
+    for i >= 1 is the number of pairs whose count is i, and b[0] the rest
+    of the q*n pairs.  Every row sum, and so every a_i, is the same on each
+    translate of T: on T + v each functional takes its values on T shifted
+    by lam(v).
     """
+    planes: list[int] = []
+    for u in points:
+        carry = code.value_mask(u)
+        k = 0
+        while carry:
+            if k == len(planes):
+                planes.append(carry)
+                break
+            planes[k], carry = planes[k] ^ carry, planes[k] & carry
+            k += 1
+    inverted = [~plane for plane in planes]
     b = [0] * (len(points) + 1)
-    columns = [code.functional_values(u) for u in points]
-    for values, mult in (Counter(zip(*columns)) if columns else {(): code.n}).items():
-        hit = set(values)
-        b[0] += (code.q - len(hit)) * mult
-        for v in hit:
-            b[values.count(v)] += mult
+    for i in range(1, min(len(b), 1 << len(planes))):
+        lanes = -1
+        for k, plane in enumerate(planes):
+            lanes &= plane if i >> k & 1 else inverted[k]
+        b[i] = lanes.bit_count()
+    b[0] = code.size - sum(b)
     return tuple(b)
+
+
+def require_tally_budget(code: GrmCode, t: int) -> None:
+    """Ask the budget of a functional tally of t points, before it runs:
+    the t x n functional values it counts, and the t value masks it holds."""
+    require_budget(t * code.n, f"{t} points x {code.n} functional values")
+    require_budget(t * code.mask_words, f"{t} masks x {code.mask_words} words")
 
 
 def _tally(code: GrmCode, points: PointSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(b, a) of T after T is checked and the tally's budget asked."""
     code.require_points(points)
     t = len(points)
-    require_budget(t * code.n, f"{t} points x {code.n} functional values")
+    require_tally_budget(code, t)
     b = _row_sums(code, points)
     return b, a_from_b(b, t, code.q)
 

@@ -125,6 +125,14 @@ def test_every_enumerating_check_skips_beyond_the_budget(monkeypatch, pair):
     }
 
 
+def test_sampled_checks_draw_from_more_positions_than_a_range_holds():
+    # RM_{7^7}(1, 5) has 7^35 > sys.maxsize positions; the tallies are
+    # beyond the budget, classification is not
+    names = ["count-route", "translation-invariance", "classify-invariance"]
+    results = run_checks(pairs=((7, 7, 5),), only=names)
+    assert [r.status for r in results] == ["SKIP", "SKIP", "PASS"]
+
+
 def test_dual_transform_skips_beyond_its_budget():
     # RM_2(1, 10): the full scan fits, the transform of its dual's
     # 511-term enumerator does not

@@ -116,6 +116,16 @@ def test_modulus_is_irreducible_for_all_small_fields():
         assert Field(p, k).modulus == mod
 
 
+def test_a_modulus_search_beyond_its_limit_is_refused_at_once():
+    # 128^3 * 2 bits of p = 2^22: GF(2^128) is the largest binary field built
+    assert len(Field(2, 128).modulus) == 129
+    start = time.perf_counter()
+    for p, k in ((2, 129), (7, 113), (2, 10**30)):
+        with pytest.raises(ValueError, match="needs a modulus search beyond 4194304 steps"):
+            Field(p, k)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_nonprime_characteristic_rejected():
     for bad in (1, 4, 6, 9):
         with pytest.raises(ValueError):

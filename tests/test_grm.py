@@ -109,38 +109,64 @@ def test_codeword_scans_refuse_beyond_budget(monkeypatch, code_3_2):
     assert len(code_3_2.shell(6)) == 24
 
 
+def dot_product_mask(code, u):
+    """value_mask(u) from one Field.dot per functional."""
+    lams = [c.lam for c in code.codewords() if c.b == 0]
+    return sum(1 << (code.field.dot(lam, u) * code.n + j) for j, lam in enumerate(lams))
+
+
 @pytest.mark.parametrize("p,k,m", SMALL_CODES)
 def test_functional_values_equal_dot_products(p, k, m):
+    # the value masks hold the functional values: bit v*n + j set when
+    # functional j takes the value v
     code = get_code(p, k, m)
-    lams = [c.lam for c in code.codewords() if c.b == 0]
     for u in code.points():
-        assert code.functional_values(u) == [code.field.dot(lam, u) for lam in lams]
+        assert code.value_mask(u) == dot_product_mask(code, u)
+
+
+@pytest.mark.parametrize("field,m", [(Field(2, 8), 1), (Field(2), 9), (Field(3), 5), (Field(257), 1)])
+def test_value_masks_of_larger_codes_equal_dot_products(field, m):
+    # GF(256) has the largest field tables, and GF(257) none
+    code = GrmCode(field, m)
+    for i in range(0, code.n, max(1, code.n // 40)):
+        u = code.point(i)
+        assert code.value_mask(u) == dot_product_mask(code, u)
 
 
 def test_functional_values_memo_is_bounded(monkeypatch):
-    code = GrmCode(Field(3), 2)
+    # the memo of value masks: 4 words each for RM_2(1, 7)
+    code = GrmCode(Field(2), 7)
     u, v, w = code.points()[1:4]
-    # room for two columns of 9 values, not three
-    monkeypatch.setattr(grm, "WORK_BUDGET", 2 * 9)
-    first = code.functional_values(u)
-    assert code.functional_values(u) is first
-    code.functional_values(v)
-    assert list(code._columns) == [u, v]
-    code.functional_values(w)
-    assert list(code._columns) == [w]
-    assert code.functional_values(u) == first
-    # a column larger than the budget is never kept
-    monkeypatch.setattr(grm, "WORK_BUDGET", 8)
-    code.functional_values(v)
-    assert code._columns == {}
+    assert code.mask_words == 4
+    # room for two masks, not three
+    monkeypatch.setattr(grm, "WORK_BUDGET", 2 * 4)
+    first = code.value_mask(u)
+    assert code.value_mask(u) is first
+    code.value_mask(v)
+    assert list(code._masks) == [u, v]
+    code.value_mask(w)
+    assert list(code._masks) == [w]
+    assert code.value_mask(u) == first
+    # a mask larger than the budget is never kept
+    monkeypatch.setattr(grm, "WORK_BUDGET", 3)
+    code.value_mask(v)
+    assert code._masks == {}
+
+
+def test_a_code_length_beyond_its_limit_is_refused_at_once():
+    # q^m is computed for every code: 2 bits of q = 2 times m up to 2^20 bits
+    assert GrmCode(Field(2), grm.LENGTH_BITS // 2).n == 2 ** (grm.LENGTH_BITS // 2)
+    for m in (grm.LENGTH_BITS // 2 + 1, 10**30):
+        with pytest.raises(ValueError, match="has more than 1048576 bits"):
+            GrmCode(Field(3), m)
 
 
 def test_pickled_code_carries_no_memo():
     code = GrmCode(Field(3), 2)
-    column = code.functional_values((1, 2))
+    mask = code.value_mask((1, 2))
     clone = pickle.loads(pickle.dumps(code))
-    assert clone._columns == {} and list(code._columns) == [(1, 2)]
-    assert clone.functional_values((1, 2)) == column
+    assert clone._masks == {} and list(code._masks) == [(1, 2)]
+    assert clone.value_mask((1, 2)) == mask
 
 
 # ---------------------------------------------------------

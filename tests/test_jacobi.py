@@ -25,7 +25,7 @@ from grmjacobi import (
     jacobi_from_a,
     rank_difference_identity,
 )
-from grmjacobi import GrmCode, grm, jacobi
+from grmjacobi import Field, GrmCode, grm, jacobi
 from grmjacobi.grm import BudgetExceeded, translate_T
 from grmjacobi.jacobi import _row_sums, binom_conv
 
@@ -73,13 +73,13 @@ def test_brute_force_builds_columns_once_in_the_caller(monkeypatch, code_3_2):
     T = ((0, 0), (1, 0), (0, 1))
     one = jacobi_brute_force(code_3_2, T)
     calls = []
-    honest = GrmCode.functional_values
+    honest = GrmCode.value_mask
 
     def counting(self, u):
         calls.append(u)
         return honest(self, u)
 
-    monkeypatch.setattr(GrmCode, "functional_values", counting)
+    monkeypatch.setattr(GrmCode, "value_mask", counting)
     assert jacobi_brute_force(code_3_2, T) == one
     assert calls == list(T)
 
@@ -95,6 +95,19 @@ def test_enumerations_refuse_beyond_budget(monkeypatch, code_3_2):
     assert count_tables(code_3_2, T).t == 3
     with pytest.raises(BudgetExceeded, match="^27 codewords x 9 positions = 243 "):
         jacobi_brute_force(code_3_2, T, full_scan=True)
+
+
+def test_the_tally_asks_for_its_masks_too(monkeypatch):
+    # over GF(128) a mask holds q * n = 16384 bits, 256 words, for n = 128
+    # functional values
+    code = GrmCode(Field(2, 7), 1)
+    T = ((1,), (2,))
+    monkeypatch.setattr(grm, "WORK_BUDGET", 2 * 256 - 1)
+    for run in (count_tables, jacobi_brute_force):
+        with pytest.raises(BudgetExceeded, match="^2 masks x 256 words = 512 "):
+            run(code, T)
+    monkeypatch.setattr(grm, "WORK_BUDGET", 2 * 256)
+    assert count_tables(code, T).t == 2
 
 
 def test_brute_force_large_code():
@@ -139,6 +152,28 @@ def test_tally_row_sums_do_not_change_under_translation(case, data):
     shifted = translate_T(code.field, T, v)
     assert _row_sums(code, shifted) == row_sums
     assert count_tables(code, T).b == row_sums
+
+
+def counted_row_sums(code, T):
+    """b[i] counts the pairs of a functional and a value it takes on
+    exactly i points of T, one functional at a time by Field.dot."""
+    b = [0] * (len(T) + 1)
+    for c in code.codewords():
+        if not c.b:
+            values = [code.field.dot(c.lam, u) for u in T]
+            for v in code.field.elements():
+                b[values.count(v)] += 1
+    return tuple(b)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(SMALL_CODES), st.data())
+def test_tally_row_sums_equal_a_count_per_functional(case, data):
+    code = get_code(*case)
+    t = data.draw(st.integers(0, min(7, code.n)))
+    indices = data.draw(st.lists(st.integers(0, code.n - 1), min_size=t, max_size=t, unique=True))
+    T = tuple(code.point(i) for i in indices)
+    assert _row_sums(code, T) == counted_row_sums(code, T)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

@@ -1,8 +1,8 @@
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,11 +23,11 @@ def test_split_is_contiguous_and_bounded():
 
 def test_cli_import_does_not_load_the_process_pool():
     # Every command starts a fresh interpreter: the import, and a one-worker
-    # run that never starts a pool, load neither the pool nor the modules
-    # behind dataclasses.
+    # run that never starts a worker, load neither the worker machinery
+    # nor the modules behind dataclasses.
     probe = """if True:
         import contextlib, io, sys
-        heavy = ("dataclasses", "inspect", "ast", "multiprocessing")
+        heavy = ("dataclasses", "inspect", "ast", "multiprocessing", "pickle", "selectors")
         import grmjacobi.cli
         print(sorted(set(heavy) & set(sys.modules)))
         with contextlib.redirect_stdout(io.StringIO()):
@@ -41,40 +41,33 @@ def test_cli_import_does_not_load_the_process_pool():
     assert out.stdout == "[]\n0 []\n"
 
 
-class FakePool:
-    """Stands in for multiprocessing.Pool: records its size and how it is
-    stopped, and maps lazily in this process, so no process starts."""
-
-    sizes: list = []
-    stops: list = []
-
-    def __init__(self, processes, *options):
-        self.sizes.append(processes)
-
-    def imap(self, fn, items):
-        return map(fn, items)
-
-    def terminate(self):
-        self.stops.append("terminate")
-
-    def join(self):
-        self.stops.append("join")
-
-
 @pytest.fixture
-def fake_pool(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(FakePool, "sizes", [])
-    monkeypatch.setattr(FakePool, "stops", [])
-    return FakePool
+def no_child_left():
+    """Fails the test if a worker process outlives it."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_pool_size_is_capped_by_the_cpu_count(fake_pool):
+def test_pool_size_is_capped_by_the_cpu_count(monkeypatch, no_child_left):
+    forks = []
+    honest = os.fork
+
+    def counting():
+        pid = honest()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
     items = list(range(1820))
     chunks = split(items, 10**6)
     assert list(run_chunks(sum, chunks, 10**6)) == [sum(chunk) for chunk in chunks]
-    assert fake_pool.sizes == [min(len(chunks), os.cpu_count() or 1)]
-    assert fake_pool.stops == ["terminate", "join"]
+    assert len(forks) == min(len(chunks), os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    pids = set(run_chunks(lambda _: os.getpid(), chunks, 10**6))
+    assert len(pids) == 1 and os.getpid() not in pids
+    assert pids == {forks[-1]}
 
 
 def test_run_chunks_is_lazy_at_one_worker():
@@ -90,37 +83,69 @@ def test_run_chunks_is_lazy_at_one_worker():
     assert list(results) == [-2, -3] and calls == [1, 2, 3]
 
 
-def test_closing_run_chunks_early_cancels_pending_work(fake_pool):
-    calls = []
-
+def test_results_come_in_input_order_when_later_tasks_finish_first(no_child_left):
     def fn(a):
-        calls.append(a)
+        time.sleep(0.3 if a == 0 else 0)
+        return a, time.monotonic()
+
+    results = list(run_chunks(fn, [0, 1, 2, 3], 2))
+    assert [a for a, _ in results] == [0, 1, 2, 3]
+    assert results[0][1] > results[3][1]  # the first task finished last
+
+
+def test_closing_run_chunks_early_cancels_pending_work(tmp_path, no_child_left):
+    def fn(a):
+        (tmp_path / str(a)).touch()
+        if a > 1:
+            time.sleep(60)
         return a
+
+    def started():
+        return sorted(p.name for p in tmp_path.iterdir())
 
     results = run_chunks(fn, [1, 2, 3, 4], 2)
     assert next(results) == 1
-    results.close()
-    assert calls == [1]
-    assert fake_pool.stops == ["terminate", "join"]
+    start = time.monotonic()
+    while started() != ["1", "2", "3"] and time.monotonic() - start < 10:
+        time.sleep(0.01)
+    results.close()  # 2 and 3 are running, 4 is queued
+    assert time.monotonic() - start < 10
+    assert started() == ["1", "2", "3"]
 
 
-def test_an_error_on_either_side_shuts_the_pool_down(fake_pool):
+def test_an_error_on_either_side_shuts_the_pool_down(no_child_left):
+    def fn(a):
+        if a == 0:
+            return 1 // a
+        time.sleep(60 if a > 1 else 0)
+        return a
+
+    start = time.monotonic()
     with pytest.raises(ZeroDivisionError):  # raised by fn, through the iterator
-        list(run_chunks(lambda a: 1 // a, [1, 0, 2], 2))
+        list(run_chunks(fn, [1, 0, 2, 3], 2))
     with pytest.raises(KeyError):  # raised by the caller, which drops the iterator
-        for _ in run_chunks(abs, [1, 2, 3], 2):
+        for _ in run_chunks(fn, [1, 2, 3], 2):
             raise KeyError("caller stops")
-    assert fake_pool.stops == ["terminate", "join"] * 2
+    assert time.monotonic() - start < 10
 
+
+def test_a_child_that_dies_without_its_result_raises(no_child_left):
+    def fn(a):
+        if a == 1:
+            os._exit(3)
+        return a
+
+    with pytest.raises(RuntimeError, match="exited before returning a result"):
+        list(run_chunks(fn, [0, 1, 2], 2))
 
 
 def _parent_handler(signum, frame):
     raise AssertionError("a worker ran its parent's SIGTERM handler")
 
 
-def test_workers_take_the_default_sigterm_action():
-    # the CLI handles SIGTERM; its forked workers must not, or terminate()
-    # would wait for each of them to unwind
+def test_workers_take_the_default_sigterm_action(no_child_left):
+    # the CLI handles SIGTERM; its forked workers must not, so that a
+    # SIGTERM sent to the whole process group ends them at once
     previous = signal.signal(signal.SIGTERM, _parent_handler)
     try:
         seen = list(run_chunks(signal.getsignal, [signal.SIGTERM] * 2, 2))
