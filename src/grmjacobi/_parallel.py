@@ -24,9 +24,11 @@ _INT_BYTES = 8  # a task index, or the length of a pickled result
 
 
 def split(items, workers: int) -> list:
-    """Contiguous slices of items: one at one worker, otherwise at most
-    4 * workers, so a slow slice does not leave the other workers idle."""
-    count = 1 if workers <= 1 else max(1, min(4 * workers, len(items)))
+    """[items] at one worker, for any iterable; otherwise at most 4 * workers
+    contiguous slices of a list, so a slow slice does not leave others idle."""
+    if workers <= 1:
+        return [items]
+    count = max(1, min(4 * workers, len(items)))
     return [items[len(items) * i // count : len(items) * (i + 1) // count] for i in range(count)]
 
 

@@ -118,16 +118,15 @@ def _draw(rng: random.Random, n: int, t: int):
     return sub
 
 
-def subsets_for_sweep(code: GrmCode, t: int) -> tuple[list[tuple[int, ...]], str]:
-    """Every t-subset when there are at most 10^6, else a deterministic
-    10^4-subset sample; returns (subsets, mode)."""
-    if comb(code.n, t) <= FULL_SWEEP_LIMIT:
-        return list(combinations(range(code.n), t)), "full"
-    return sample_subsets(code.n, t, SAMPLE_SIZE), "sampled"
-
-
-def _points_of(code: GrmCode, subset: tuple[int, ...]):
-    return tuple(code.point(i) for i in subset)
+def subsets_for_sweep(code: GrmCode, t: int) -> tuple:
+    """Every t-subset, unlisted, when there are at most 10^6, else a
+    deterministic 10^4-subset sample; returns (subsets, number of
+    subsets, mode)."""
+    total = comb(code.n, t)
+    if total <= FULL_SWEEP_LIMIT:
+        return combinations(range(code.n), t), total, "full"
+    sample = sample_subsets(code.n, t, SAMPLE_SIZE)
+    return sample, len(sample), "sampled"
 
 
 def _sampled(code: GrmCode, rng: random.Random, count: int):
@@ -139,7 +138,7 @@ def _sampled(code: GrmCode, rng: random.Random, count: int):
         if code.n < t:
             continue
         for sub in sample_subsets(code.n, t, count, seed=rng.randrange(2**30)):
-            yield t, sub, _points_of(code, sub)
+            yield t, sub, tuple(map(code.point, sub))
 
 
 # -- the subset passes ---------------------------------------------------------
@@ -237,13 +236,13 @@ class SubsetPasses:
                 refusals["design"] = refusal
         if not tally and masks is None:
             return refusals, (None, 0, {}, None)
-        subsets, mode = subsets_for_sweep(code, t)
+        subsets, swept, mode = subsets_for_sweep(code, t)
         # A sweep samples only beyond 10^6 subsets, and C(n, t) > 10^6 makes
         # C(n, t) times the q(n - 1) middle-shell blocks exceed the work
         # budget, so the design route only ever rides on a full sweep.
         assert masks is None or mode == "full", "design pass over a sample"
         profiles = subset_pass(code, subsets, tally, masks, self.workers)
-        return refusals, (mode, len(subsets), profiles, blocks)
+        return refusals, (mode, swept, profiles, blocks)
 
 
 # -- individual checks ----------------------------------------------------------

@@ -14,7 +14,7 @@ so Jacobi coefficients equal block counts exactly.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from typing import NamedTuple
 
@@ -150,7 +150,7 @@ def design_check_bruteforce(
     same class see different counts.
     """
     masks, block_count = block_masks(code, ell, t)
-    subsets = list(combinations(range(code.n), t))
+    subsets = combinations(range(code.n), t)
     profiles = subset_pass(code, subsets, masks=masks, workers=workers)
     return blocks_report(code, ell, t, profiles, block_count)
 
@@ -188,17 +188,17 @@ def block_masks(code: GrmCode, ell: int, t: int) -> tuple[list[int], int]:
 def subset_pass(
     code: GrmCode, subsets, tally: bool = False, masks=None, workers: int = 1
 ) -> dict[tuple, list]:
-    """One pass over subsets (tuples of position indices), each decoded and
-    classified once.  Its profile is (class, b, blocks): b the row sums of
-    its functional tally if `tally` (the caller asks the tally's budget),
-    blocks the number of blocks through it if block masks are given, else
-    None.  Returns
-    profile -> [first subset, number of subsets] in order of first
-    occurrence: the chunks run on up to `workers` processes and merge in
-    chunk order.
+    """One pass over subsets (an iterable of tuples of position indices),
+    each decoded and classified once.  Its profile is (class, b, blocks):
+    b the row sums of its functional tally if `tally` (the caller asks the
+    tally's budget), blocks the number of blocks through it if block masks
+    are given, else None.  Returns profile -> [first subset, number of
+    subsets] in order of first occurrence.  One worker reads the subsets
+    as they come; more list them once and run chunks, merged in order.
     """
-    every = bool(subsets) and len(subsets) == math.comb(code.n, len(subsets[0]))
-    chunk = partial(_pass_chunk, code, tally, masks, every)
+    if workers > 1:
+        subsets = list(subsets)
+    chunk = partial(_pass_chunk, code, tally, masks)
     profiles: dict[tuple, list] = {}
     for part in run_chunks(chunk, split(subsets, workers), workers):
         for profile, (first, count) in part.items():
@@ -206,11 +206,8 @@ def subset_pass(
     return profiles
 
 
-def _pass_chunk(code: GrmCode, tally: bool, masks, every: bool, subsets) -> dict:
-    # A pass over every t-subset reads each point many times, so it decodes
-    # through the point list; a sample decodes each index on its own, which
-    # at large n costs less than building the list.
-    decode = code.points().__getitem__ if every else code.point
+def _pass_chunk(code: GrmCode, tally: bool, masks, subsets) -> dict:
+    decode = cache(code.point)  # each position decoded once per chunk
     profiles: dict[tuple, list] = {}
     for sub in subsets:
         points = tuple(map(decode, sub))

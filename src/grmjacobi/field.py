@@ -26,25 +26,78 @@ _TABLE_LIMIT = 256
 SEARCH_LIMIT = 2**22
 
 
-def prime_power(q: int) -> tuple[int, int] | None:
-    """(p, k) with q = p^k, or None when q is not a prime power."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1)
-        if q % p == 0:
-            k = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                k += 1
-            return (p, k) if rest == 1 else None
-    return None
+# The primes up to 41: the trial divisors, and the bases of a strong
+# probable-prime (Miller-Rabin) test that is exact below PRIMALITY_LIMIT,
+# the least strong pseudoprime to all 13 bases (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    return prime_power(n) == (n, 1)
+    """Whether n is prime, by trial division by SMALL_PRIMES and then the
+    strong probable-prime test to each of them as a base.  A failed test
+    proves n composite at any size; an n >= PRIMALITY_LIMIT that passes
+    every base is refused with ValueError, never called prime."""
+    if n < 2:
+        return False
+    for p in SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(
+            f"{n} passes the Miller-Rabin test to the primes up to 41, "
+            f"which proves primality only below {PRIMALITY_LIMIT}"
+        )
+    return True
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with q = p^k, or None when q is not a prime power.  A q
+    with a factor in SMALL_PRIMES is divided by its least one; any other
+    q is p^k only if its integer k-th root p is a prime above 41, so k is
+    at most log_43(q).  Raises ValueError where is_prime refuses."""
+    if q < 2:
+        return None
+    for p in SMALL_PRIMES:
+        if q % p == 0:
+            k = 0
+            while q % p == 0:
+                q //= p
+                k += 1
+            return (p, k) if q == 1 else None
+    top = 1
+    while 43 ** (top + 1) <= q:
+        top += 1
+    for k in range(top, 0, -1):
+        root = _integer_root(q, k)
+        if root**k == q and is_prime(root):
+            return (root, k)
+    return None
+
+
+def _integer_root(n: int, k: int) -> int:
+    """The largest r with r^k <= n, for n >= 1: Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _poly_trim(c: list[int]) -> list[int]:

@@ -25,6 +25,7 @@ module reads, and classes_of_size(t) the one check that t is 2, 3 or 4.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import combinations, product
 from math import comb
 from typing import Iterator, NamedTuple, Optional
@@ -370,10 +371,10 @@ def t_class_census(code: GrmCode, t: int) -> dict[TClass, int]:
 
 def _census_chunk(code: GrmCode, subsets) -> dict[TClass, int]:
     """Class -> count over subsets given as tuples of position indices."""
-    points = code.points()
+    decode = cache(code.point)  # each position decoded once
     census: dict[TClass, int] = {}
     for sub in subsets:
-        cls = _classify(code, tuple(points[i] for i in sub))
+        cls = _classify(code, tuple(map(decode, sub)))
         census[cls] = census.get(cls, 0) + 1
     return census
 

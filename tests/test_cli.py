@@ -261,6 +261,18 @@ def test_design_empty_shell_exit_1(capsys):
 # ---------------------------------------------------------
 
 
+def test_a_61_bit_prime_field_answers_at_once(capsys):
+    start = time.perf_counter()
+    argv = ["jacobi", "--p", str(2**61 - 1), "--m", "1", "--t-size", "2", "--method", "closed"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["n"] == 2**61 - 1
+    assert time.perf_counter() - start < 1
+    # a prime beyond the exact Miller-Rabin range gets one error line
+    code, out, err = run_cli(capsys, ["enum", "--p", str(2**89 - 1), "--m", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "proves primality" in err
+
+
 def test_verify_single_check_non_prime_field(capsys, schema):
     code, out, _ = run_cli(
         capsys,

@@ -47,6 +47,11 @@ def code_flags():
             st.sampled_from(["12", "16", "40", "100", "300", str(10**30)]).map(lambda k: ["--k", k]),
             st.just(["--m", "1"]),
         ),
+        # a prime on either side of the limit of the exact primality test
+        st.tuples(
+            st.sampled_from([str(2**61 - 1), str(2**89 - 1)]).map(lambda p: ["--p", p]),
+            st.just(["--m", "1"]),
+        ),
     ).map(lambda parts: [a for part in parts for a in part])
 
 

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -13,7 +14,8 @@ from grmjacobi import (
     design_check_jacobi,
     generalized_design_params,
 )
-from grmjacobi import grm
+from grmjacobi import checks, designs, grm
+from grmjacobi.checks import run_checks
 from grmjacobi.grm import BudgetExceeded
 
 from conftest import get_code
@@ -123,6 +125,47 @@ def test_brute_force_design_evaluates_each_functional_once(monkeypatch):
     monkeypatch.setattr(Field, "dot", lambda self, u, v: calls.append(1) or dot(self, u, v))
     assert design_check_bruteforce(code, 6, 3).block_count == 24
     assert len(calls) == 9 * 9
+
+
+@pytest.mark.parametrize("route", ["design", "verify"])
+def test_a_one_worker_full_pass_draws_each_subset_as_it_classifies_it(monkeypatch, route):
+    # the pass reads the combinations as they come, with no list of them
+    # first: when it classifies subset k (from 0) it has drawn exactly k + 1
+    drawn = classified = 0
+
+    def counting_combinations(*args):
+        nonlocal drawn
+        for sub in combinations(*args):
+            drawn += 1
+            yield sub
+
+    def checking(code, points):
+        nonlocal classified
+        assert drawn == classified + 1
+        classified += 1
+        return grm._classify(code, points)
+
+    for module in (designs, checks):
+        monkeypatch.setattr(module, "combinations", counting_combinations)
+    monkeypatch.setattr(designs, "_classify", checking)
+    if route == "design":
+        design_check_bruteforce(get_code(3, 1, 2), 6, 3)
+    else:
+        (result,) = run_checks(pairs=((3, 1, 2),), only=["jacobi-triples"])
+        assert (result.status, result.detail) == ("PASS", "full sweep over 84 subsets")
+    assert classified == drawn == 84
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_pass_over_a_generator_equals_one_over_its_list(workers):
+    code = get_code(2, 2, 2)
+    masks, _ = designs.block_masks(code, 12, 4)
+    listed = list(combinations(range(code.n), 4))
+    expected = list(designs.subset_pass(code, listed, True, masks).items())
+    assert len(expected) == 3  # the three quad classes of GF(4)^2
+    for subsets in (listed, (sub for sub in listed)):
+        profiles = designs.subset_pass(code, subsets, True, masks, workers)
+        assert list(profiles.items()) == expected
 
 
 def test_count_blocks_containing_matches_report(code_3_2):

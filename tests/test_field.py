@@ -4,7 +4,15 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grmjacobi.field import Field, _is_irreducible, _poly_mod, is_prime, least_irreducible
+from grmjacobi.field import (
+    PRIMALITY_LIMIT,
+    Field,
+    _is_irreducible,
+    _poly_mod,
+    is_prime,
+    least_irreducible,
+    prime_power,
+)
 
 SMALL_PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
@@ -137,6 +145,49 @@ def test_nonprime_characteristic_rejected():
 def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     assert {n for n in range(25) if is_prime(n)} == primes
+
+
+def trial_division_prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with q = p^k, or None, by trial division up to sqrt(q)."""
+    if q < 2:
+        return None
+    for p in range(2, q + 1):
+        if p * p > q:
+            return (q, 1)
+        if q % p == 0:
+            k = 0
+            rest = q
+            while rest % p == 0:
+                rest //= p
+                k += 1
+            return (p, k) if rest == 1 else None
+    return None
+
+
+def test_primality_equals_trial_division_below_10_to_the_5():
+    for q in range(10**5):
+        expected = trial_division_prime_power(q)
+        assert prime_power(q) == expected, q
+        assert is_prime(q) == (expected == (q, 1)), q
+
+
+def test_primality_at_either_side_of_the_miller_rabin_limit():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert prime_power((2**61 - 1) ** 3) == (2**61 - 1, 3)
+    assert prime_power(43**7) == (43, 7) and prime_power(43**7 * 47) is None
+    # the least strong pseudoprime to the bases up to 37 fails at 41
+    psi_12 = 318_665_857_834_031_151_167_461
+    assert psi_12 == 399_165_290_221 * 798_330_580_441 and not is_prime(psi_12)
+    # the limit itself is composite and passes every base: it is refused
+    assert PRIMALITY_LIMIT == 1_287_836_182_261 * 2_575_672_364_521
+    with pytest.raises(ValueError, match="proves primality only below"):
+        is_prime(PRIMALITY_LIMIT)
+    # a prime above the limit is refused too, a composite is answered
+    with pytest.raises(ValueError, match="proves primality only below"):
+        prime_power(2**89 - 1)
+    assert not is_prime(2**89 + 1) and prime_power((2**89 - 1) * 43) is None
+    assert time.perf_counter() - start < 0.5
 
 
 def test_construction_is_deterministic():

@@ -19,6 +19,9 @@ def test_split_is_contiguous_and_bounded():
             assert [x for chunk in chunks for x in chunk] == items
             assert len(chunks) <= 4 * workers
         assert len(split(items, 1)) == 1
+    # one worker reads any iterable, unlisted, as its one chunk
+    items = iter(range(3))
+    assert split(items, 1)[0] is items
 
 
 def test_cli_import_does_not_load_the_process_pool():
