@@ -23,13 +23,12 @@ from typing import Iterator
 _INT_BYTES = 8  # a task index, or the length of a pickled result
 
 
-def split(items, workers: int) -> list:
-    """[items] at one worker, for any iterable; otherwise at most 4 * workers
-    contiguous slices of a list, so a slow slice does not leave others idle."""
-    if workers <= 1:
-        return [items]
-    count = max(1, min(4 * workers, len(items)))
-    return [items[len(items) * i // count : len(items) * (i + 1) // count] for i in range(count)]
+def spans(count: int, workers: int) -> list[tuple[int, int]]:
+    """[(0, count)] at one worker; otherwise at most 4 * workers contiguous
+    index ranges (lo, hi) that cover range(count), so a slow range does not
+    leave others idle."""
+    parts = 1 if workers <= 1 else max(1, min(4 * workers, count))
+    return [(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
 
 
 def run_chunks(fn, args_list: list, workers: int) -> Iterator:

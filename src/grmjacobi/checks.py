@@ -9,7 +9,7 @@ turns a check that refuses work beyond the budget into a SKIP.  The CLI
 falsified closed form surfaces identically in both places.
 
 The jacobi-, count-tables- and design- checks of one subset size t share
-one pass over the t-subsets per code, designs.subset_pass, which returns
+one pass over the t-subsets per code, grm.subset_pass, which returns
 the distinct profiles (class, row sums, blocks) it met; each check
 compares profiles, not subsets, and a correct program shows at most seven.
 A jacobi- check compares the restricted-weight vector with its class's
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 import sys
+from functools import partial
 from itertools import combinations, permutations, product
 from math import comb
 from typing import NamedTuple
@@ -36,6 +37,8 @@ from .grm import (
     closed_class_census,
     reachable_classes,
     require_budget,
+    require_tally_budget,
+    subset_pass,
     t_class_census,
     translate_T,
 )
@@ -52,7 +55,6 @@ from .jacobi import (
     jacobi_from_a,
     middle_shell_weight,
     rank_difference_identity,
-    require_tally_budget,
 )
 from .conjecture import dual_diff_coefficient, dual_weight_enumerator
 from .designs import (
@@ -61,7 +63,6 @@ from .designs import (
     blocks_report,
     design_check_jacobi,
     route_disagreement,
-    subset_pass,
 )
 
 SAMPLE_SEED = 7_2024_08
@@ -119,14 +120,14 @@ def _draw(rng: random.Random, n: int, t: int):
 
 
 def subsets_for_sweep(code: GrmCode, t: int) -> tuple:
-    """Every t-subset, unlisted, when there are at most 10^6, else a
-    deterministic 10^4-subset sample; returns (subsets, number of
-    subsets, mode)."""
+    """Every t-subset when there are at most 10^6, else a deterministic
+    10^4-subset sample; returns (subsets, number of subsets, mode), where
+    subsets() is a fresh iterable of them, as subset_pass takes it."""
     total = comb(code.n, t)
     if total <= FULL_SWEEP_LIMIT:
-        return combinations(range(code.n), t), total, "full"
+        return partial(combinations, range(code.n), t), total, "full"
     sample = sample_subsets(code.n, t, SAMPLE_SIZE)
-    return sample, len(sample), "sampled"
+    return lambda: sample, len(sample), "sampled"
 
 
 def _sampled(code: GrmCode, rng: random.Random, count: int):
@@ -241,7 +242,7 @@ class SubsetPasses:
         # C(n, t) times the q(n - 1) middle-shell blocks exceed the work
         # budget, so the design route only ever rides on a full sweep.
         assert masks is None or mode == "full", "design pass over a sample"
-        profiles = subset_pass(code, subsets, tally, masks, self.workers)
+        profiles = subset_pass(code, subsets, swept, tally, masks, self.workers)
         return refusals, (mode, swept, profiles, blocks)
 
 

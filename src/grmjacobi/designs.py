@@ -4,9 +4,8 @@ Two independent routes produce the same report shape: the Jacobi route
 reads the count of blocks through a t-subset off the closed-form
 polynomial of the subset's class and takes the class sizes from the
 closed-form census, so it enumerates nothing, while the brute-force route
-classifies every t-subset and counts supports directly.  Its one pass
-over the subsets, subset_pass, also serves `verify`, whose checks compare
-the few distinct subset profiles it returns.  Blocks are counted with
+classifies every t-subset and counts supports directly, in one
+grm.subset_pass with the shell's block masks.  Blocks are counted with
 multiplicity (scalar multiples of a codeword contribute separate blocks),
 so Jacobi coefficients equal block counts exactly.
 """
@@ -14,7 +13,7 @@ so Jacobi coefficients equal block counts exactly.
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import partial
 from itertools import combinations
 from typing import NamedTuple
 
@@ -27,16 +26,14 @@ from .grm import (
     classes_of_size,
     closed_class_census,
     require_budget,
-    _classify,
+    subset_pass,
 )
 from .jacobi import (
     closed_form_a,
     closed_weight_distribution,
     jacobi_closed_form,
     middle_shell_weight,
-    _row_sums,
 )
-from ._parallel import run_chunks, split
 
 
 class DesignReport(NamedTuple):
@@ -150,8 +147,8 @@ def design_check_bruteforce(
     same class see different counts.
     """
     masks, block_count = block_masks(code, ell, t)
-    subsets = combinations(range(code.n), t)
-    profiles = subset_pass(code, subsets, masks=masks, workers=workers)
+    subsets = partial(combinations, range(code.n), t)
+    profiles = subset_pass(code, subsets, math.comb(code.n, t), masks=masks, workers=workers)
     return blocks_report(code, ell, t, profiles, block_count)
 
 
@@ -183,50 +180,6 @@ def block_masks(code: GrmCode, ell: int, t: int) -> tuple[list[int], int]:
                     masks[i] |= bit
             block_count += 1
     return masks, _require_blocks(code, ell, block_count)
-
-
-def subset_pass(
-    code: GrmCode, subsets, tally: bool = False, masks=None, workers: int = 1
-) -> dict[tuple, list]:
-    """One pass over subsets (an iterable of tuples of position indices),
-    each decoded and classified once.  Its profile is (class, b, blocks):
-    b the row sums of its functional tally if `tally` (the caller asks the
-    tally's budget), blocks the number of blocks through it if block masks
-    are given, else None.  Returns profile -> [first subset, number of
-    subsets] in order of first occurrence.  One worker reads the subsets
-    as they come; more list them once and run chunks, merged in order.
-    """
-    if workers > 1:
-        subsets = list(subsets)
-    chunk = partial(_pass_chunk, code, tally, masks)
-    profiles: dict[tuple, list] = {}
-    for part in run_chunks(chunk, split(subsets, workers), workers):
-        for profile, (first, count) in part.items():
-            profiles.setdefault(profile, [first, 0])[1] += count
-    return profiles
-
-
-def _pass_chunk(code: GrmCode, tally: bool, masks, subsets) -> dict:
-    decode = cache(code.point)  # each position decoded once per chunk
-    profiles: dict[tuple, list] = {}
-    for sub in subsets:
-        points = tuple(map(decode, sub))
-        profile = (
-            _classify(code, points),
-            _row_sums(code, points) if tally else None,
-            None if masks is None else _blocks_through(masks, sub),
-        )
-        profiles.setdefault(profile, [sub, 0])[1] += 1
-    return profiles
-
-
-def _blocks_through(masks: list[int], sub) -> int:
-    """The number of blocks containing every position of sub: the set bits
-    of its masks' AND."""
-    common = masks[sub[0]]
-    for i in sub[1:]:
-        common &= masks[i]
-    return common.bit_count()
 
 
 def blocks_report(

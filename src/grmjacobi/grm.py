@@ -20,17 +20,21 @@ otherwise.
 
 CLASSES is the one table of the paper's seven classes, which every other
 module reads, and classes_of_size(t) the one check that t is 2, 3 or 4.
+
+subset_pass is the one loop over t-subsets in bulk: the class census,
+brute-force design verdicts and `verify`'s sweeps all run through it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
-from itertools import combinations, product
+from functools import cache, partial
+from itertools import combinations, islice, product
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 from .field import Field
+from ._parallel import run_chunks, spans
 
 COLLINEAR_TRIPLE = "collinear-triple"
 GENERIC = "generic"
@@ -93,11 +97,10 @@ class GrmCode:
 
     value_mask(u) is one bit per pair of a functional and a value, set
     where the functional takes that value at u; the functional tally of
-    brute force, count tables and the subset pass adds the masks of the
-    points of T.  Masks are memoized per point, so a sweep over many
-    subsets builds each mask once.  The memo is emptied before it would
-    hold more than WORK_BUDGET 64-bit words, and it is left out when the
-    code is pickled.
+    brute force, count tables and the subset pass (_row_sums) adds the
+    masks of the points of T.  Masks are memoized per point, so a sweep
+    over many subsets builds each mask once.  The memo is emptied before
+    it would hold more than WORK_BUDGET 64-bit words.
     """
 
     def __init__(self, field: Field, m: int):
@@ -111,12 +114,8 @@ class GrmCode:
         self.n = field.q**m
         self.size = field.q ** (m + 1)
         self._points: list[Point] | None = None
-        self._point_index: dict[Point, int] | None = None
         self.mask_words = -(-self.size // 64)  # 64-bit words of one value mask
         self._masks: dict[Point, int] = {}
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_masks": {}}
 
     # -- coordinates ---------------------------------------------------
 
@@ -137,9 +136,11 @@ class GrmCode:
         return tuple(reversed(digits))
 
     def point_index(self, point: Point) -> int:
-        if self._point_index is None:
-            self._point_index = {p: i for i, p in enumerate(self.points())}
-        return self._point_index[point]
+        """The i with point(i) == point: its digits read back in base q."""
+        i = 0
+        for digit in point:
+            i = i * self.q + digit
+        return i
 
     def require_points(self, points) -> None:
         """Refuse a position set T that repeats a point or holds one that
@@ -252,6 +253,50 @@ def _lay_out(blocks: list[int], rows, width: int) -> list[int]:
     return laid
 
 
+# -- the functional tally -----------------------------------------------
+
+
+def _row_sums(code: GrmCode, points: PointSet) -> tuple[int, ...]:
+    """b[i] counts the pairs (lam, v) of a functional and a value that lam
+    takes on exactly i points of T: the one tally behind brute force, count
+    tables and the subset pass.  Its callers ask require_tally_budget.
+
+    Each point's value mask (GrmCode.value_mask) holds one bit per pair.
+    The masks are added into bit-sliced counters, planes[k] holding bit k
+    of every pair's count, so each word operation counts 64 pairs; b[i]
+    for i >= 1 is the number of pairs whose count is i, and b[0] the rest
+    of the q*n pairs.  Every row sum, and so every a_i, is the same on each
+    translate of T: on T + v each functional takes its values on T shifted
+    by lam(v).
+    """
+    planes: list[int] = []
+    for u in points:
+        carry = code.value_mask(u)
+        k = 0
+        while carry:
+            if k == len(planes):
+                planes.append(carry)
+                break
+            planes[k], carry = planes[k] ^ carry, planes[k] & carry
+            k += 1
+    inverted = [~plane for plane in planes]
+    b = [0] * (len(points) + 1)
+    for i in range(1, min(len(b), 1 << len(planes))):
+        lanes = -1
+        for k, plane in enumerate(planes):
+            lanes &= plane if i >> k & 1 else inverted[k]
+        b[i] = lanes.bit_count()
+    b[0] = code.size - sum(b)
+    return tuple(b)
+
+
+def require_tally_budget(code: GrmCode, t: int) -> None:
+    """Ask the budget of a functional tally of t points, before it runs:
+    the t x n functional values it counts, and the t value masks it holds."""
+    require_budget(t * code.n, f"{t} points x {code.n} functional values")
+    require_budget(t * code.mask_words, f"{t} masks x {code.mask_words} words")
+
+
 # -- point-set utilities -----------------------------------------------
 
 
@@ -349,17 +394,19 @@ def t_class_census(code: GrmCode, t: int) -> dict[TClass, int]:
     """Class -> number of t-subsets of V in that class, by enumeration: the
     oracle for closed_class_census.
 
-    Only the C(n-1, t-1) subsets through the zero point (position 0) are
-    classified.  Translation keeps the class, and (S0, v) -> (S0 + v, v)
-    maps {S0 through 0} x V one-to-one onto the pairs (S, u in S), so a
-    class with N0 subsets through 0 has n * N0 / t subsets in all.
+    Only the C(n-1, t-1) subsets through the zero point (position 0), the
+    first ones of combinations(range(n), t), are classified.  Translation
+    keeps the class, and (S0, v) -> (S0 + v, v) maps {S0 through 0} x V
+    one-to-one onto the pairs (S, u in S), so a class with N0 subsets
+    through 0 has n * N0 / t subsets in all.
     """
     classes_of_size(t)
     n = code.n
-    require_budget(comb(n - 1, t - 1), f"C({n - 1}, {t - 1}) subsets through zero")
-    through_zero = ((0,) + rest for rest in combinations(range(1, n), t - 1))
-    census = _census_chunk(code, through_zero)
-    for cls, cnt in census.items():
+    through_zero = comb(n - 1, t - 1)
+    require_budget(through_zero, f"C({n - 1}, {t - 1}) subsets through zero")
+    profiles = subset_pass(code, partial(combinations, range(n), t), through_zero)
+    census = {}
+    for (cls, _, _), (_, cnt) in profiles.items():
         census[cls], rest = divmod(n * cnt, t)
         if rest:
             raise RuntimeError(
@@ -369,14 +416,52 @@ def t_class_census(code: GrmCode, t: int) -> dict[TClass, int]:
     return census
 
 
-def _census_chunk(code: GrmCode, subsets) -> dict[TClass, int]:
-    """Class -> count over subsets given as tuples of position indices."""
-    decode = cache(code.point)  # each position decoded once
-    census: dict[TClass, int] = {}
-    for sub in subsets:
-        cls = _classify(code, tuple(map(decode, sub)))
-        census[cls] = census.get(cls, 0) + 1
-    return census
+# -- the subset pass ---------------------------------------------------
+
+
+def subset_pass(
+    code: GrmCode, subsets, count: int, tally: bool = False, masks=None, workers: int = 1
+) -> dict[tuple, list]:
+    """One pass over the first `count` items of subsets(), which returns a
+    fresh iterable of tuples of position indices on each call; each subset
+    is decoded and classified once.  Its profile is (class, b, blocks): b
+    the row sums of its functional tally if `tally` (the caller asks the
+    tally's budget), blocks the number of blocks through it if block masks
+    are given, else None.  Returns profile -> [first subset, number of
+    subsets] in order of first occurrence.  The worker that runs an index
+    range of spans(count, workers) calls subsets() itself and skips to the
+    range's start, so no worker count lists the subsets; ranges merge in
+    order.
+    """
+    chunk = partial(_pass_chunk, code, subsets, tally, masks)
+    profiles: dict[tuple, list] = {}
+    for part in run_chunks(chunk, spans(count, workers), workers):
+        for profile, (first, size) in part.items():
+            profiles.setdefault(profile, [first, 0])[1] += size
+    return profiles
+
+
+def _pass_chunk(code: GrmCode, subsets, tally: bool, masks, span: tuple[int, int]) -> dict:
+    decode = cache(code.point)  # each position decoded once per chunk
+    profiles: dict[tuple, list] = {}
+    for sub in islice(subsets(), *span):
+        points = tuple(map(decode, sub))
+        profile = (
+            _classify(code, points),
+            _row_sums(code, points) if tally else None,
+            None if masks is None else _blocks_through(masks, sub),
+        )
+        profiles.setdefault(profile, [sub, 0])[1] += 1
+    return profiles
+
+
+def _blocks_through(masks: list[int], sub) -> int:
+    """The number of blocks containing every position of sub: the set bits
+    of its masks' AND."""
+    common = masks[sub[0]]
+    for i in sub[1:]:
+        common &= masks[i]
+    return common.bit_count()
 
 
 # Candidate witnesses per class: each point's first three coordinates, as

@@ -24,6 +24,8 @@ from .grm import (
     TClass,
     classes_of_size,
     require_budget,
+    require_tally_budget,
+    _row_sums,
 )
 
 ExpKey = tuple[int, int, int, int]
@@ -154,47 +156,6 @@ def _conv_steps(a_deg: int, b_deg: int) -> int:
 # -- brute-force Jacobi and count tables --------------------------------------
 
 
-def _row_sums(code: GrmCode, points: PointSet) -> tuple[int, ...]:
-    """b[i] counts the pairs (lam, v) of a functional and a value that lam
-    takes on exactly i points of T: the one tally behind brute force, count
-    tables and the subset pass.  Its callers ask require_tally_budget.
-
-    Each point's value mask (GrmCode.value_mask) holds one bit per pair.
-    The masks are added into bit-sliced counters, planes[k] holding bit k
-    of every pair's count, so each word operation counts 64 pairs; b[i]
-    for i >= 1 is the number of pairs whose count is i, and b[0] the rest
-    of the q*n pairs.  Every row sum, and so every a_i, is the same on each
-    translate of T: on T + v each functional takes its values on T shifted
-    by lam(v).
-    """
-    planes: list[int] = []
-    for u in points:
-        carry = code.value_mask(u)
-        k = 0
-        while carry:
-            if k == len(planes):
-                planes.append(carry)
-                break
-            planes[k], carry = planes[k] ^ carry, planes[k] & carry
-            k += 1
-    inverted = [~plane for plane in planes]
-    b = [0] * (len(points) + 1)
-    for i in range(1, min(len(b), 1 << len(planes))):
-        lanes = -1
-        for k, plane in enumerate(planes):
-            lanes &= plane if i >> k & 1 else inverted[k]
-        b[i] = lanes.bit_count()
-    b[0] = code.size - sum(b)
-    return tuple(b)
-
-
-def require_tally_budget(code: GrmCode, t: int) -> None:
-    """Ask the budget of a functional tally of t points, before it runs:
-    the t x n functional values it counts, and the t value masks it holds."""
-    require_budget(t * code.n, f"{t} points x {code.n} functional values")
-    require_budget(t * code.mask_words, f"{t} masks x {code.mask_words} words")
-
-
 def _tally(code: GrmCode, points: PointSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(b, a) of T after T is checked and the tally's budget asked."""
     code.require_points(points)
@@ -222,7 +183,7 @@ def jacobi_brute_force(
         return jacobi_from_a(a, code.q, code.m, len(points))
     code.require_points(points)
     t, n = len(points), code.n
-    rows = code.value_rows()  # the budget, before point_index builds its map
+    rows = code.value_rows()
     positions = [code.point_index(pt) for pt in points]
     terms: dict[ExpKey, int] = {}
     for _, row in rows:

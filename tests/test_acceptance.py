@@ -9,6 +9,7 @@ budgets are checked on the single-worker build.
 import json
 import random
 import time
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -35,7 +36,7 @@ from grmjacobi import (
 )
 from grmjacobi.checks import count_mismatch, first_mismatch, jacobi_mismatch, sample_subsets
 from grmjacobi.cli import parse_bound
-from grmjacobi.designs import subset_pass
+from grmjacobi.grm import subset_pass
 
 # (p, k, m) for (q, m) in {(2,2), (2,3), (3,2), (3,3), (4,2), (5,2)}
 ACCEPTANCE_PAIRS = (
@@ -72,18 +73,25 @@ def census_json(census) -> dict:
     return {cls.label(): census[cls] for cls in sorted(census, key=lambda c: c.label())}
 
 
-def sweep(code: GrmCode, subsets, compare, workers: int) -> list[dict]:
-    """The first mismatch of one compare over subsets, as a one-item list;
-    [] when there is none."""
-    profiles = subset_pass(code, subsets, tally=True, workers=workers)
+def sweep(code: GrmCode, subsets, count: int, compare, workers: int) -> list[dict]:
+    """The first mismatch of one compare over the first count items of
+    subsets(), as a one-item list; [] when there is none."""
+    profiles = subset_pass(code, subsets, count, tally=True, workers=workers)
     mismatch = first_mismatch(code, profiles, compare)
     return [] if mismatch is None else [mismatch]
 
 
+def all_subsets(code: GrmCode, t: int):
+    """(subsets, count) of every t-subset, as subset_pass takes them."""
+    return partial(combinations, range(code.n), t), comb(code.n, t)
+
+
 def quad_subsets(code: GrmCode):
+    """(subsets, count, mode) of the quad sweep, as subset_pass takes them."""
     if (code.q, code.m) in SAMPLED_QUAD:
-        return sample_subsets(code.n, 4, QUAD_SAMPLE_SIZE), "sampled"
-    return list(combinations(range(code.n), 4)), "full"
+        sample = sample_subsets(code.n, 4, QUAD_SAMPLE_SIZE)
+        return lambda: sample, len(sample), "sampled"
+    return *all_subsets(code, 4), "full"
 
 
 # ---------------------------------------------------------------------
@@ -116,22 +124,22 @@ def build_report(workers: int) -> tuple[dict, dict]:
         code = code_for(p, k, m)
         entry = {}
         for t in (2, 3):
-            subs = list(combinations(range(code.n), t))
-            mism = sweep(code, subs, jacobi_mismatch, workers=workers)
-            entry[f"t{t}"] = {"mode": "full", "checked": len(subs), "mismatches": mism}
+            subs, count = all_subsets(code, t)
+            mism = sweep(code, subs, count, jacobi_mismatch, workers=workers)
+            entry[f"t{t}"] = {"mode": "full", "checked": count, "mismatches": mism}
         if code.n >= 4:
-            subs, mode = quad_subsets(code)
-            mism = sweep(code, subs, jacobi_mismatch, workers=workers)
+            subs, count, mode = quad_subsets(code)
+            mism = sweep(code, subs, count, jacobi_mismatch, workers=workers)
             census = t_class_census(code, 4)
             sampled_classes = sorted(
                 {
                     classify_T(code, tuple(code.points()[i] for i in sub)).label()
-                    for sub in subs
+                    for sub in subs()
                 }
             )
             entry["t4"] = {
                 "mode": mode,
-                "checked": len(subs),
+                "checked": count,
                 "mismatches": mism,
                 "census": census_json(census),
                 "classes_in_sample": sampled_classes,
@@ -147,17 +155,17 @@ def build_report(workers: int) -> tuple[dict, dict]:
         code = code_for(p, k, m)
         entry = {}
         for t in (2, 3):
-            subs = list(combinations(range(code.n), t))
+            subs, count = all_subsets(code, t)
             entry[f"t{t}"] = {
-                "checked": len(subs),
-                "mismatches": sweep(code, subs, count_mismatch, workers=workers),
+                "checked": count,
+                "mismatches": sweep(code, subs, count, count_mismatch, workers=workers),
             }
         if code.n >= 4:
-            subs, mode = quad_subsets(code)
+            subs, count, mode = quad_subsets(code)
             entry["t4"] = {
                 "mode": mode,
-                "checked": len(subs),
-                "mismatches": sweep(code, subs, count_mismatch, workers=workers),
+                "checked": count,
+                "mismatches": sweep(code, subs, count, count_mismatch, workers=workers),
             }
         c3[pair_key(code)] = entry
     report["criterion_3"] = c3

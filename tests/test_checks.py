@@ -178,31 +178,40 @@ def test_each_subset_is_classified_once_per_run(monkeypatch):
     # quad witnesses: 304 classifications, where one pass per check made 796
     honest = grm._classify
     seen = {}
+    stage = ["sweep"]  # or the census or witness lookup that is running
 
-    def counting(calls, code, points):
-        calls.append(points)
+    def counting(code, points):
+        seen.setdefault(stage[-1], []).append(points)
         return honest(code, points)
 
-    for module in (grm, designs, checks):
-        calls = seen.setdefault(module.__name__, [])
-        monkeypatch.setattr(module, "_classify", partial(counting, calls), raising=False)
+    def staged(name, fn, *args):
+        stage.append(name)
+        try:
+            return fn(*args)
+        finally:
+            stage.pop()
+
+    monkeypatch.setattr(grm, "_classify", counting)
+    for name in ("t_class_census", "reachable_classes"):
+        monkeypatch.setattr(checks, name, partial(staged, name, getattr(checks, name)))
     results = run_checks(pairs=((3, 1, 2),), only=SUBSET_CHECKS)
     assert [r.status for r in results] == ["PASS"] * 9
     assert sum(map(len, seen.values())) == 304
-    swept = Counter(seen["grmjacobi.designs"])
+    assert len(seen["t_class_census"]) == 56 and len(seen["reachable_classes"]) == 2
+    swept = Counter(seen["sweep"])
     assert len(swept) == 36 + 84 + 126 and set(swept.values()) == {1}
 
 
 def test_one_pool_per_subset_size(monkeypatch):
-    honest = designs.run_chunks
+    honest = grm.run_chunks
     chunks = []
 
     def counting(fn, args_list, workers):
-        chunks.append(len(args_list))
+        if workers > 1:  # the class census runs its pass at one worker
+            chunks.append(len(args_list))
         return honest(fn, args_list, workers)
 
-    for module in (designs, checks):
-        monkeypatch.setattr(module, "run_chunks", counting, raising=False)
+    monkeypatch.setattr(grm, "run_chunks", counting)
     results = run_checks(pairs=((2, 2, 2),), workers=2)
     assert all(r.status != "FAIL" for r in results)
     assert len(chunks) == 3 and min(chunks) > 1
@@ -214,7 +223,7 @@ def test_only_the_requested_compares_run(monkeypatch):
     (result,) = run_checks(pairs=((3, 1, 2),), only=["jacobi-quads"])
     assert result.status == "PASS"
     monkeypatch.undo()
-    monkeypatch.setattr(designs, "_row_sums", lambda *a: pytest.fail("tally ran"))
+    monkeypatch.setattr(grm, "_row_sums", lambda *a: pytest.fail("tally ran"))
     monkeypatch.setattr(jacobi, "_row_sums", lambda *a: pytest.fail("tally ran"))
     (result,) = run_checks(pairs=((3, 1, 2),), only=["design-quads"])
     assert result.status == "PASS"
@@ -248,7 +257,7 @@ def test_a_skewed_b_vector_fails_only_count_tables(monkeypatch):
 
 def test_a_class_that_does_not_determine_the_count_fails_verify(monkeypatch, capsys):
     # every triple called rank 2: the collinear ones lie in other blocks
-    monkeypatch.setattr(designs, "_classify", lambda code, points: grm.TClass(3, 2))
+    monkeypatch.setattr(grm, "_classify", lambda code, points: grm.TClass(3, 2))
     code = GrmCode(Field(3), 2)
     with pytest.raises(designs.CountNotDetermined, match="does not determine the count"):
         designs.design_check_bruteforce(code, 6, 3)
@@ -276,14 +285,14 @@ def test_support_scalars_reports_the_first_counterexample(monkeypatch):
 def test_each_swept_subset_is_tallied_once(monkeypatch):
     # jacobi- and count-tables- checks of one size share one tally per
     # subset; neither reads it through count_tables
-    honest = designs._row_sums
+    honest = grm._row_sums
     calls = []
 
     def counting(code, points):
         calls.append(points)
         return honest(code, points)
 
-    monkeypatch.setattr(designs, "_row_sums", counting)
+    monkeypatch.setattr(grm, "_row_sums", counting)
     for module in (checks, jacobi):
         monkeypatch.setattr(module, "count_tables", lambda *a: pytest.fail("count tables ran"))
     results = run_checks(pairs=((3, 1, 2),), only=["jacobi-triples", "count-tables-triples"])
@@ -303,7 +312,7 @@ def test_the_first_failing_subset_is_reported(monkeypatch, workers, perturbed, f
     # collinear.  The pool forks, so the workers see the patched tally.
     code = GrmCode(Field(3), 2)
     targets = {tuple(code.points()[i] for i in TRIPLES_3_2[j]) for j in perturbed}
-    honest = designs._row_sums
+    honest = grm._row_sums
 
     def perturbed_tally(code, points):
         b = honest(code, points)
@@ -311,7 +320,7 @@ def test_the_first_failing_subset_is_reported(monkeypatch, workers, perturbed, f
             b = (b[0] - 1, b[1] + 1) + b[2:]
         return b
 
-    monkeypatch.setattr(designs, "_row_sums", perturbed_tally)
+    monkeypatch.setattr(grm, "_row_sums", perturbed_tally)
     only = ["jacobi-triples", "count-tables-triples"]
     results = run_checks(pairs=((3, 1, 2),), only=only, workers=workers)
     assert [r.status for r in results] == ["FAIL", "FAIL"]

@@ -44,3 +44,15 @@ def test_differing_stdouts_exit_1(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out.endswith(f"stdout sha256 {hashlib.sha256(b'a').hexdigest()}\n")
     assert err == f"run 2: exit 0, stdout sha256 {hashlib.sha256(b'b').hexdigest()}\n"
+
+
+def test_a_two_worker_pass_holds_no_more_than_one_worker():
+    # each worker draws its own range of the C(32, 4) = 35,960 quads, so
+    # no process lists them; a list of them would add about 3 MiB
+    tool = load_tool()
+    command = ["verify", "--p", "2", "--m", "5", "--only", "design-quads", "--workers"]
+    (code_1, *_, peak_1, out_1), (code_2, *_, peak_2, out_2) = (
+        tool.measure(command + [workers]) for workers in ("1", "2")
+    )
+    assert code_1 == code_2 == 0 and out_1 == out_2
+    assert peak_2 <= peak_1 + 1.5, (peak_1, peak_2)

@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -132,6 +133,7 @@ def test_a_one_worker_full_pass_draws_each_subset_as_it_classifies_it(monkeypatc
     # the pass reads the combinations as they come, with no list of them
     # first: when it classifies subset k (from 0) it has drawn exactly k + 1
     drawn = classified = 0
+    honest = grm._classify
 
     def counting_combinations(*args):
         nonlocal drawn
@@ -143,11 +145,11 @@ def test_a_one_worker_full_pass_draws_each_subset_as_it_classifies_it(monkeypatc
         nonlocal classified
         assert drawn == classified + 1
         classified += 1
-        return grm._classify(code, points)
+        return honest(code, points)
 
     for module in (designs, checks):
         monkeypatch.setattr(module, "combinations", counting_combinations)
-    monkeypatch.setattr(designs, "_classify", checking)
+    monkeypatch.setattr(grm, "_classify", checking)
     if route == "design":
         design_check_bruteforce(get_code(3, 1, 2), 6, 3)
     else:
@@ -161,10 +163,11 @@ def test_a_pass_over_a_generator_equals_one_over_its_list(workers):
     code = get_code(2, 2, 2)
     masks, _ = designs.block_masks(code, 12, 4)
     listed = list(combinations(range(code.n), 4))
-    expected = list(designs.subset_pass(code, listed, True, masks).items())
+    expected = list(grm.subset_pass(code, lambda: listed, len(listed), True, masks).items())
     assert len(expected) == 3  # the three quad classes of GF(4)^2
-    for subsets in (listed, (sub for sub in listed)):
-        profiles = designs.subset_pass(code, subsets, True, masks, workers)
+    generators = (lambda: (sub for sub in listed), partial(combinations, range(code.n), 4))
+    for subsets in (lambda: listed, *generators):
+        profiles = grm.subset_pass(code, subsets, len(listed), True, masks, workers)
         assert list(profiles.items()) == expected
 
 

@@ -1,5 +1,9 @@
+import json
+import os
 import pickle
-from functools import cache
+import random
+from collections import Counter
+from functools import cache, partial
 from itertools import combinations, product
 from math import comb
 
@@ -18,8 +22,9 @@ from grmjacobi import (
     translate_T,
 )
 from grmjacobi import Field, GrmCode, grm
-from grmjacobi.checks import DEFAULT_PAIRS
-from grmjacobi.grm import BudgetExceeded, _census_chunk, closed_class_census
+from grmjacobi.checks import DEFAULT_PAIRS, sample_subsets
+from grmjacobi.cli import main
+from grmjacobi.grm import BudgetExceeded, closed_class_census, subset_pass
 from grmjacobi.designs import block_masks
 from grmjacobi.jacobi import closed_weight_distribution, jacobi_brute_force
 
@@ -46,6 +51,14 @@ def test_point_order_q3_m2(code_3_2):
     assert len(pts) == 9
     assert pts[0] == (0, 0) and pts[-1] == (2, 2)
     assert all(code_3_2.point_index(p) == i for i, p in enumerate(pts))
+
+
+def test_point_index_reads_the_digits_without_the_point_list():
+    code = GrmCode(Field(3), 20)
+    rng = random.Random(20)
+    for i in (0, 1, code.n - 1, *(rng.randrange(code.n) for _ in range(200))):
+        assert code.point_index(code.point(i)) == i
+    assert code._points is None
 
 
 def test_codeword_counts(code_2_2, code_3_2):
@@ -161,12 +174,16 @@ def test_a_code_length_beyond_its_limit_is_refused_at_once():
             GrmCode(Field(3), m)
 
 
-def test_pickled_code_carries_no_memo():
-    code = GrmCode(Field(3), 2)
-    mask = code.value_mask((1, 2))
-    clone = pickle.loads(pickle.dumps(code))
-    assert clone._masks == {} and list(code._masks) == [(1, 2)]
-    assert clone.value_mask((1, 2)) == mask
+def test_a_two_worker_verify_never_pickles_the_code(monkeypatch, capsys):
+    # the workers are forked and inherit the code; only results are pickled
+    def refuse(self, protocol):
+        raise AssertionError("a GrmCode was pickled")
+
+    monkeypatch.setattr(GrmCode, "__reduce_ex__", refuse)
+    with pytest.raises(AssertionError, match="was pickled"):
+        pickle.dumps(GrmCode(Field(2), 1))
+    assert main(["verify", "--p", "2", "--k", "2", "--m", "2", "--workers", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == 0
 
 
 # ---------------------------------------------------------
@@ -248,7 +265,9 @@ def test_census_equals_full_enumeration(p, k, m, t):
     # q = 2 includes subsets fixed by a translation (pairs, and the affine
     # planes among the 4-sets), where the n/t scaling must still hold
     code = get_code(p, k, m)
-    expected = _census_chunk(code, combinations(range(code.n), t))
+    expected = dict(
+        Counter(classify_T(code, tuple(map(code.point, sub))) for sub in combinations(range(code.n), t))
+    )
     assert t_class_census(code, t) == expected
     assert closed_class_census(code.q, code.m, t) == expected
 
@@ -258,6 +277,43 @@ def test_closed_census_equals_census_through_zero(p, k, m):
     code = get_code(p, k, m)
     for t in (2, 3, 4):
         assert closed_class_census(code.q, code.m, t) == t_class_census(code, t)
+
+
+# ---------------------------------------------------------
+# The subset pass
+# ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_above_one_worker_the_parent_never_draws_the_subsets(workers):
+    code = get_code(3, 1, 2)
+    parent = os.getpid()
+
+    def subsets():
+        assert os.getpid() != parent, "the parent drew the subsets"
+        return combinations(range(code.n), 3)
+
+    expected = subset_pass(code, partial(combinations, range(code.n), 3), 84, tally=True)
+    got = subset_pass(code, subsets, 84, tally=True, workers=workers)
+    assert list(got.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("source", ["full", "sampled", "census"])
+def test_a_pass_does_not_depend_on_the_worker_count(source):
+    code = get_code(3, 1, 2)
+    masks, _ = block_masks(code, 6, 4)
+    sample = sample_subsets(code.n, 4, 50)
+    subsets, count = {
+        "full": (partial(combinations, range(code.n), 4), comb(code.n, 4)),
+        "sampled": (lambda: sample, len(sample)),
+        "census": (partial(combinations, range(code.n), 4), comb(code.n - 1, 3)),
+    }[source]
+    one, *more = (
+        list(subset_pass(code, subsets, count, True, masks, workers).items())
+        for workers in (1, 2, 3)
+    )
+    assert all(profiles == one for profiles in more)
+    assert sum(size for _, (_, size) in one) == count
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (4, 1), (2, 6), (9, 3), (64, 4), (125, 2)])

@@ -26,8 +26,8 @@ from grmjacobi import (
     rank_difference_identity,
 )
 from grmjacobi import Field, GrmCode, grm, jacobi
-from grmjacobi.grm import BudgetExceeded, translate_T
-from grmjacobi.jacobi import _row_sums, binom_conv
+from grmjacobi.grm import BudgetExceeded, _row_sums, translate_T
+from grmjacobi.jacobi import binom_conv
 
 from conftest import SMALL_CODES, get_code
 

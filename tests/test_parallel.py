@@ -8,20 +8,18 @@ from pathlib import Path
 import pytest
 
 import grmjacobi
-from grmjacobi._parallel import run_chunks, split
+from grmjacobi._parallel import run_chunks, spans
 
 
-def test_split_is_contiguous_and_bounded():
-    for n in range(10):
-        items = list(range(n))
-        for workers in (1, 2, 3):
-            chunks = split(items, workers)
-            assert [x for chunk in chunks for x in chunk] == items
-            assert len(chunks) <= 4 * workers
-        assert len(split(items, 1)) == 1
-    # one worker reads any iterable, unlisted, as its one chunk
-    items = iter(range(3))
-    assert split(items, 1)[0] is items
+def test_spans_cover_the_range_contiguously_and_are_bounded():
+    for count in (*range(10), 84, 1820):
+        for workers in (1, 2, 3, 10**6):
+            ranges = spans(count, workers)
+            assert [i for lo, hi in ranges for i in range(lo, hi)] == list(range(count))
+            assert all(lo <= hi for lo, hi in ranges)
+            assert 1 <= len(ranges) <= 4 * workers
+            assert all(lo < hi for lo, hi in ranges) or ranges == [(0, 0)]
+        assert spans(count, 1) == [(0, count)]
 
 
 def test_cli_import_does_not_load_the_process_pool():
@@ -64,7 +62,7 @@ def test_pool_size_is_capped_by_the_cpu_count(monkeypatch, no_child_left):
 
     monkeypatch.setattr(os, "fork", counting)
     items = list(range(1820))
-    chunks = split(items, 10**6)
+    chunks = [items[lo:hi] for lo, hi in spans(len(items), 10**6)]
     assert list(run_chunks(sum, chunks, 10**6)) == [sum(chunk) for chunk in chunks]
     assert len(forks) == min(len(chunks), os.cpu_count() or 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
