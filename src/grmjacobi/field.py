@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 from operator import mul
 
-# Fields up to this order get full add/sub/mul lookup tables.
+# Fields up to this order get full add/mul lookup tables.
 _TABLE_LIMIT = 256
 
 # Largest search for a degree-k modulus over GF(p), in units of k^3 log2(p),
@@ -118,16 +118,10 @@ def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
-    # mod must be monic
-    a = list(a)
+    """a mod the monic mod over GF(p), cancelling one leading term per step."""
     dm = len(mod) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, ci in enumerate(mod):
-                a[shift + i] = (a[shift + i] - lead * ci) % p
-        _poly_trim(a)
+    while len(a) > dm:
+        a = _poly_sub_shifted(a, a[-1], mod, len(a) - 1 - dm, p)
     return a
 
 
@@ -202,8 +196,11 @@ class Field:
     p : prime characteristic
     k : extension degree (>= 1)
 
-    All operations take and return integer element indices.  The instance
-    is immutable after construction and safe to share between workers.
+    All operations take and return integer element indices.  A field of
+    order at most 256 keeps four lookup tables: add and mul (q^2 entries
+    each), neg and inv (q entries each); sub is add after neg.  The
+    instance is immutable after construction and safe to share between
+    workers.
     """
 
     def __init__(self, p: int, k: int = 1):
@@ -219,7 +216,6 @@ class Field:
         # Monic linear placeholder for prime fields; never used there.
         self.modulus = (0, 1) if k == 1 else least_irreducible(p, k)
         self._add_table: list[int] | None = None
-        self._sub_table: list[int] | None = None
         self._mul_table: list[int] | None = None
         self._neg_table: list[int] | None = None
         self._inv_table: list[int] | None = None
@@ -250,8 +246,6 @@ class Field:
         return self._add_raw(a, b)
 
     def sub(self, a: int, b: int) -> int:
-        if self._sub_table is not None:
-            return self._sub_table[a * self.q + b]
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
@@ -312,10 +306,10 @@ class Field:
         if self.k == 1:
             p = self.p
             return [(a - c * b) % p for a, b in zip(u, v)]
-        if self._sub_table is not None:
-            sub, times, q = self._sub_table, self._mul_table, self.q
-            base = c * q
-            return [sub[a * q + times[base + b]] for a, b in zip(u, v)]
+        if self._add_table is not None:
+            add, times, q = self._add_table, self._mul_table, self.q
+            base = self._neg_table[c] * q  # u - c * v = u + (-c) * v
+            return [add[a * q + times[base + b]] for a, b in zip(u, v)]
         return [self.sub(a, self.mul(c, b)) for a, b in zip(u, v)]
 
     def outer_sum(self, u, v) -> list[int]:
@@ -365,9 +359,8 @@ class Field:
                 for row in rows
             ]
             width *= p
-        self._add_table = add = [x for row in rows for x in row]
-        self._neg_table = neg = [row.index(0) for row in rows]
-        self._sub_table = [add[a * q + neg[b]] for a in range(q) for b in range(q)]
+        self._add_table = [x for row in rows for x in row]
+        self._neg_table = [row.index(0) for row in rows]
         primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
         g = next(g for g in range(1, q) if all(self.pow(g, (q - 1) // r) != 1 for r in primes))
         power = [1]  # power[i] = g^i

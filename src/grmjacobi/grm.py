@@ -203,8 +203,9 @@ class GrmCode:
         """(codeword, its values at all n positions) in codewords() order,
         after the budget of codewords x positions is asked.  Each
         functional's row is evaluated once, a Field.dot per point, and
-        shifted by each b; value_mask is not read, so a scan stays an
-        oracle for the functional tally.  Callers must not change a row."""
+        shifted by each b with Field.outer_sum; value_mask is not read, so
+        a scan stays an oracle for the functional tally.  Callers must not
+        change a row."""
         require_budget(self.size * self.n, f"{self.size} codewords x {self.n} positions")
         f, points = self.field, self.points()
 
@@ -212,7 +213,7 @@ class GrmCode:
             for c in self.codewords():
                 if not c.b:  # the first word of each functional
                     row = [f.dot(c.lam, u) for u in points]
-                yield c, [f.add(v, c.b) for v in row]
+                yield c, f.outer_sum(row, (c.b,))
 
         return rows()
 

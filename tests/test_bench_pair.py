@@ -67,8 +67,9 @@ def test_a_failed_run_keeps_the_complete_pairs(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("bench_pair.*"))
 
 
-def process_table() -> dict[int, tuple[int, str]]:
-    """pid -> (parent pid, state) of every process /proc shows."""
+def process_table() -> dict[int, tuple[int, str, int]]:
+    """pid -> (parent pid, state, start time) of every process /proc shows;
+    the start time (field 22 of /proc/<pid>/stat) tells a reused pid apart."""
     table = {}
     for entry in Path("/proc").iterdir():
         if entry.name.isdigit():
@@ -77,18 +78,19 @@ def process_table() -> dict[int, tuple[int, str]]:
             except OSError:
                 continue
             # the command name is in parentheses and may hold spaces
-            state, ppid = stat[stat.rindex(")") + 2:].split()[:2]
-            table[int(entry.name)] = (int(ppid), state)
+            fields = stat[stat.rindex(")") + 2:].split()
+            table[int(entry.name)] = (int(fields[1]), fields[0], int(fields[19]))
     return table
 
 
-def descendants(pid: int) -> set[int]:
+def descendants(pid: int) -> dict[int, int]:
+    """pid -> start time of every descendant of process pid."""
     table = process_table()
     found, frontier = set(), {pid}
     while frontier:
-        frontier = {p for p, (ppid, _) in table.items() if ppid in frontier} - found
+        frontier = {p for p, (ppid, _, _) in table.items() if ppid in frontier} - found
         found |= frontier
-    return found
+    return {p: table[p][2] for p in found}
 
 
 def cmdline(pid: int) -> str:
@@ -129,5 +131,10 @@ def test_sigterm_ends_the_benchmark_and_removes_the_copy(tmp_path):
             proc.wait()
     assert not list(tmp_path.glob("bench_pair.*"))
     table = process_table()
-    assert not [p for p in seen if p in table and table[p][1] != "Z"], "a process outlived it"
+    survivors = [
+        f"{p} {cmdline(p)!r}"
+        for p, born in seen.items()
+        if p in table and table[p][2] == born and table[p][1] != "Z"
+    ]
+    assert not survivors, "processes outlived it: " + "; ".join(survivors)
     assert time.monotonic() - start < 30

@@ -94,6 +94,19 @@ def test_results_come_in_input_order_when_later_tasks_finish_first(no_child_left
     assert results[0][1] > results[3][1]  # the first task finished last
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_a_slow_chunk_does_not_hold_up_the_others(no_child_left):
+    # each child draws its next chunk when it is free, so while one runs
+    # the slow chunk the other runs all three fast ones; a fixed split
+    # would queue chunk 2 behind chunk 0
+    def fn(a):
+        time.sleep(0.5 if a == 0 else 0)
+        return time.monotonic()
+
+    slow, *fast = run_chunks(fn, [0, 1, 2, 3], 2)
+    assert max(fast) < slow
+
+
 def test_closing_run_chunks_early_cancels_pending_work(tmp_path, no_child_left):
     def fn(a):
         (tmp_path / str(a)).touch()

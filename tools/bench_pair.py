@@ -23,9 +23,13 @@ operation is printed to stderr, and the exit status is 1: a faster side
 that got an answer wrong has not won anything.  A run that exits non-zero
 or prints no summary ends the measurement: the report then holds the
 pairs completed before it and names the run under `failed_runs`, and the
-exit status is 1.  On SIGTERM the running benchmark is sent SIGTERM too
-(it ends its own command), the temporary copy is removed and the exit
-status is 143.
+exit status is 1.  On SIGTERM the running benchmark is stopped, its
+descendants are recorded (pid and start time), and it is sent SIGTERM
+and resumed (it ends its own command).  Once it has exited, each recorded
+process that still runs is killed: a command the benchmark started just
+before the signal, in a session of its own, outlives it otherwise.  Then
+the temporary copy is removed and the exit status is 143.  Recording the
+descendants reads /proc; without it none are recorded.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,14 +85,70 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     try:
         out, err = proc.communicate()
     except BaseException:
-        # SIGKILL would leave the benchmark's running command behind
+        # SIGKILL would leave the benchmark's running command behind; a
+        # stopped benchmark starts no command while its descendants are read
+        recorded = {}
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGSTOP)
+            os.waitpid(proc.pid, os.WUNTRACED)
+            recorded = descendants(proc.pid)
         proc.terminate()
+        proc.send_signal(signal.SIGCONT)
         proc.communicate()
+        kill_survivors(recorded)
         raise
     lines = out.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RunFailed(proc.returncode, (err.strip().splitlines() or [""])[-1])
     return json.loads(lines[-1])
+
+
+def process_stats() -> dict[int, tuple[int, int]]:
+    """pid -> (parent pid, start time) of every process /proc shows that
+    has not ended; the start time is field 22 of /proc/<pid>/stat, so a
+    pid with another start time is another process.  Empty without /proc."""
+    stats = {}
+    try:
+        entries = [e for e in Path("/proc").iterdir() if e.name.isdigit()]
+    except OSError:
+        return stats
+    for entry in entries:
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # the command name is in parentheses and may hold spaces
+        fields = stat[stat.rindex(")") + 2:].split()
+        if fields[0] != "Z":
+            stats[int(entry.name)] = (int(fields[1]), int(fields[19]))
+    return stats
+
+
+def descendants(pid: int) -> dict[int, int]:
+    """pid -> start time of every running descendant of process pid."""
+    stats = process_stats()
+    found, frontier = set(), {pid}
+    while frontier:
+        frontier = {p for p, (ppid, _) in stats.items() if ppid in frontier} - found
+        found |= frontier
+    return {p: stats[p][1] for p in found}
+
+
+def kill_survivors(recorded: dict[int, int]) -> None:
+    """SIGKILL each recorded (pid, start time) that still runs, and return
+    once none does, or after 10 s."""
+    def running():
+        stats = process_stats()
+        return [p for p, start in recorded.items() if p in stats and stats[p][1] == start]
+
+    for pid in running():
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    end = time.monotonic() + 10
+    while running() and time.monotonic() < end:
+        time.sleep(0.01)
 
 
 def summary(values: list[float]) -> dict:
