@@ -219,15 +219,15 @@ class SubsetPasses:
     def _run(self, t: int) -> tuple:
         code, word = self.code, SIZE_WORDS[t]
         refusals: dict[str, BudgetExceeded] = {}
+        tallied = [kind for kind in COMPARES if f"{kind}-{word}" in self.names]
         tally = False
-        for kind in COMPARES:
-            if f"{kind}-{word}" in self.names:
-                try:
-                    # the tally's budget, asked once before the pass
-                    require_tally_budget(code, t)
-                    tally = True
-                except BudgetExceeded as refusal:
-                    refusals[kind] = refusal
+        if tallied:
+            try:
+                # the tally's budget, asked once before the pass
+                require_tally_budget(code, t)
+                tally = True
+            except BudgetExceeded as refusal:
+                refusals.update(dict.fromkeys(tallied, refusal))
         masks = blocks = None
         ell = middle_shell_weight(code.q, code.m)
         if f"design-{word}" in self.names and ell >= t:

@@ -35,7 +35,7 @@ from .designs import (
     generalized_design_params,
     route_disagreement,
 )
-from .conjecture import COUNTEREXAMPLE, conjecture_scan
+from .conjecture import COUNTEREXAMPLE, DEFAULT_BOUND, conjecture_scan
 from .checks import CHECKS, DEFAULT_PAIRS, run_checks
 
 EXIT_OK = 0
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("scan", help="dual-shell scan (JSON lines, one per pair)")
-    ps.add_argument("--bound", default="1e7", help="scan all q^(2m) < bound")
+    ps.add_argument("--bound", default=str(DEFAULT_BOUND), help="scan all q^(2m) < bound")
     add_workers(ps)
     ps.set_defaults(fn=cmd_scan)
 
@@ -392,9 +392,9 @@ def _exit_on_sigterm(signum, frame):
 
 
 def main(argv=None) -> int:
-    """Run one command; while it runs, a SIGTERM unwinds it (terminating any
-    pool) and exits 143.  Only the main thread can handle signals, so called
-    from another thread, main leaves SIGTERM alone."""
+    """Run one command; while it runs, a SIGTERM unwinds it (killing and
+    reaping any forked workers) and exits 143.  Only the main thread can
+    handle signals, so called from another thread, main leaves SIGTERM alone."""
     parser = build_parser()
     handles_sigterm = threading.current_thread() is threading.main_thread()
     if handles_sigterm:

@@ -103,8 +103,9 @@ def design_check_jacobi(code: GrmCode, ell: int, t: int) -> DesignReport:
 
     The class sizes come from closed_class_census (counts of affine lines
     and planes); the number of weight-ell blocks through a subset is the
-    coefficient of z^t x^(n-ell) y^(ell-t) in its class's polynomial, and
-    the block count is read off the closed-form weight distribution.
+    coefficient of z^t x^(n-ell) y^(ell-t) in its class's polynomial (0
+    below t, where that exponent is negative), and the block count is read
+    off the closed-form weight distribution.
     """
     classes_of_size(t)
     code.require_weight(ell)
@@ -112,13 +113,10 @@ def design_check_jacobi(code: GrmCode, ell: int, t: int) -> DesignReport:
         code, ell, closed_weight_distribution(code.q, code.m).get(ell, 0)
     )
     census = closed_class_census(code.q, code.m, t)
-    lam = {}
-    for cls in census:
-        if ell < t:
-            lam[cls] = 0  # no block of size ell can contain t positions
-        else:
-            poly = jacobi_closed_form(code, cls)
-            lam[cls] = poly.coefficient(0, t, code.n - ell, ell - t)
+    lam = {
+        cls: jacobi_closed_form(code, cls).coefficient(0, t, code.n - ell, ell - t)
+        for cls in census
+    }
     return _finish_report(code, ell, t, "jacobi", lam, census, block_count)
 
 

@@ -213,7 +213,7 @@ class Field:
         self.p = p
         self.k = k
         self.q = p**k
-        # Monic linear placeholder for prime fields; never used there.
+        # Prime fields take the monic x: an untabled inv's gcd runs against it.
         self.modulus = (0, 1) if k == 1 else least_irreducible(p, k)
         self._add_table: list[int] | None = None
         self._mul_table: list[int] | None = None

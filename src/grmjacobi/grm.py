@@ -259,8 +259,8 @@ def _lay_out(blocks: list[int], rows, width: int) -> list[int]:
 
 def _row_sums(code: GrmCode, points: PointSet) -> tuple[int, ...]:
     """b[i] counts the pairs (lam, v) of a functional and a value that lam
-    takes on exactly i points of T: the one tally behind brute force, count
-    tables and the subset pass.  Its callers ask require_tally_budget.
+    takes on exactly i points of T: the one tally behind count_tables and
+    the subset pass.  Its callers ask require_tally_budget.
 
     Each point's value mask (GrmCode.value_mask) holds one bit per pair.
     The masks are added into bit-sliced counters, planes[k] holding bit k

@@ -156,31 +156,19 @@ def _conv_steps(a_deg: int, b_deg: int) -> int:
 # -- brute-force Jacobi and count tables --------------------------------------
 
 
-def _tally(code: GrmCode, points: PointSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(b, a) of T after T is checked and the tally's budget asked."""
-    code.require_points(points)
-    t = len(points)
-    require_tally_budget(code, t)
-    b = _row_sums(code, points)
-    return b, a_from_b(b, t, code.q)
-
-
 def jacobi_brute_force(
     code: GrmCode, points: PointSet, full_scan: bool = False
 ) -> JacobiPolynomial:
     """Jacobi polynomial by counting every codeword, after T is checked.
 
-    By default the functional tally of T (_row_sums, O(t * q^m) work)
-    gives the restricted weights: (lam, b) vanishes at u exactly when
-    lam(u) = -b, so b_i is the number of codewords with i zeros on T, and
-    jacobi_from_a adds the structural weight outside T.  full_scan=True
-    instead reads every codeword at all q^m positions from
-    code.value_rows() and serves as the independent oracle for that
-    shortcut.
+    By default it is the count route: the restricted weights a of
+    count_tables (O(t * q^m) work), with the structural weight outside T
+    added by jacobi_from_a.  full_scan=True instead reads every codeword
+    at all q^m positions from code.value_rows() and serves as the
+    independent oracle for that tally.
     """
     if not full_scan:
-        _, a = _tally(code, points)
-        return jacobi_from_a(a, code.q, code.m, len(points))
+        return jacobi_from_a(count_tables(code, points).a, code.q, code.m, len(points))
     code.require_points(points)
     t, n = len(points), code.n
     rows = code.value_rows()
@@ -220,10 +208,15 @@ def a_from_b(b, t: int, q: int) -> tuple[int, ...]:
 
 def count_tables(code: GrmCode, points: PointSet) -> CountTables:
     """The functional tally of T, after T is checked (distinct points of
-    V; the empty T is allowed).  It is the same on every translate of T
-    (see _row_sums), so T is tallied as given."""
-    b, a = _tally(code, points)
-    return CountTables(t=len(points), q=code.q, b=b, a=a)
+    V; the empty T is allowed) and the tally's budget asked.  (lam, b)
+    vanishes at u exactly when lam(u) = -b, so b_i is the number of
+    codewords with i zeros on T.  The tally is the same on every translate
+    of T (see _row_sums), so T is tallied as given."""
+    code.require_points(points)
+    t = len(points)
+    require_tally_budget(code, t)
+    b = _row_sums(code, points)
+    return CountTables(t=t, q=code.q, b=b, a=a_from_b(b, t, code.q))
 
 
 def jacobi_from_a(a, q: int, m: int, t: int) -> JacobiPolynomial:

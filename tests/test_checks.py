@@ -241,6 +241,24 @@ def test_a_design_refusal_skips_only_the_design_check(monkeypatch):
     ]
 
 
+def test_one_tally_refusal_skips_both_tallied_checks(monkeypatch):
+    asked = []
+
+    def refusing(code, t):
+        asked.append(t)
+        raise grm.BudgetExceeded("no tally")
+
+    monkeypatch.setattr(checks, "require_tally_budget", refusing)
+    only = ["jacobi-triples", "count-tables-triples", "design-triples"]
+    results = run_checks(pairs=((3, 1, 2),), only=only)
+    assert asked == [3]
+    assert [(r.status, r.detail) for r in results] == [
+        ("SKIP", "beyond brute-force budget"),
+        ("SKIP", "beyond brute-force budget"),
+        ("PASS", "shell 6 is not a 3-design; lambdas (4, 6)"),
+    ]
+
+
 def test_a_skewed_b_vector_fails_only_count_tables(monkeypatch):
     honest = checks.closed_form_b
 

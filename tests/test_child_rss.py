@@ -4,6 +4,7 @@ run in a fresh interpreter forked from a small parent."""
 import hashlib
 import importlib.util
 import re
+import shutil
 from pathlib import Path
 
 from grmjacobi.cli import main
@@ -34,6 +35,20 @@ def test_enum_reports_its_child_alone(capsys):
     # an interpreter and a small code: a few MiB
     assert 4 < rss < 100
     assert match[4] == expected
+
+
+def test_the_tree_is_byte_compiled_before_it_runs(tmp_path, monkeypatch, capsys):
+    # with PYTHONDONTWRITEBYTECODE set, no run writes the bytecode cache itself
+    tool = load_tool()
+    package = tmp_path / "src" / "grmjacobi"
+    shutil.copytree(
+        tool.ROOT / "src" / "grmjacobi", package, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert tool.main(["enum", "--p", "2", "--m", "2", "--runs", "1"]) == 0
+    capsys.readouterr()
+    assert any((package / "__pycache__").glob("cli.*.pyc"))
 
 
 def test_differing_stdouts_exit_1(monkeypatch, capsys):

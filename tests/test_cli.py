@@ -15,7 +15,7 @@ import pytest
 
 import grmjacobi
 from grmjacobi import Field, GrmCode, conjecture
-from grmjacobi.cli import main, parse_bound, parse_points
+from grmjacobi.cli import build_parser, main, parse_bound, parse_points
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,10 @@ def test_parse_bound():
                 "1e" + "9" * 5000, "1e-" + "9" * 5000):
         with pytest.raises(ValueError):
             parse_bound(bad)
+
+
+def test_scan_bound_defaults_to_the_scans_own():
+    assert parse_bound(build_parser().parse_args(["scan"]).bound) == conjecture.DEFAULT_BOUND
 
 
 # ---------------------------------------------------------

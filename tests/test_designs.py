@@ -17,9 +17,10 @@ from grmjacobi import (
 )
 from grmjacobi import checks, designs, grm
 from grmjacobi.checks import run_checks
+from grmjacobi.designs import route_disagreement
 from grmjacobi.grm import BudgetExceeded
 
-from conftest import get_code
+from conftest import SMALL_CODES, get_code
 
 
 # ---------------------------------------------------------
@@ -221,6 +222,20 @@ def test_block_count_matches_enumerated_shell(p, k, m):
         assert _message(design_check_jacobi, code, -1, t) == _message(
             design_check_bruteforce, code, -1, t
         )
+
+
+@pytest.mark.parametrize("p,k,m", SMALL_CODES)
+def test_shells_lighter_than_t_have_lambda_0_on_both_routes(p, k, m):
+    # the Jacobi route reads lambda off a term whose y-exponent ell - t is
+    # negative, so absent; brute force finds no block through t positions
+    code = get_code(p, k, m)
+    for t in (2, 3, 4):
+        for ell in range(min(t, code.n + 1)):
+            if code.shell(ell):
+                via_jacobi = design_check_jacobi(code, ell, t)
+                via_blocks = design_check_bruteforce(code, ell, t)
+                assert route_disagreement(via_jacobi, via_blocks) is None, (ell, t)
+                assert set(via_jacobi.lambda_by_class.values()) <= {0}, (ell, t)
 
 
 def test_budget_guard(monkeypatch, code_3_2):

@@ -13,6 +13,10 @@ harness that holds every run's stdout, grows with the harness.  Started
 from a small parent, the figure is the command's own (the parent's few
 MiB are its floor).
 
+The tree's src/ is byte-compiled before the first run: with
+PYTHONDONTWRITEBYTECODE set, a tree without cached bytecode would
+otherwise compile its sources at every run.
+
 Prints the minimum wall and CPU (user + system) time over the runs, the
 maximum ru_maxrss in MiB, and the sha256 of stdout.  The exit status is
 1 when the runs' stdouts differ or a run exits non-zero.
@@ -79,6 +83,7 @@ def main(argv=None) -> int:
     args, command = ap.parse_known_args(argv)
     if not command or args.runs < 1:
         ap.error("give a grmjacobi command and --runs N with N >= 1")
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(ROOT / "src")], check=True)
     runs = [measure(command) for _ in range(args.runs)]
     digests = [hashlib.sha256(out).hexdigest() for *_, out in runs]
     print(
