@@ -22,15 +22,19 @@ CLASSES is the one table of the paper's seven classes, which every other
 module reads, and classes_of_size(t) the one check that t is 2, 3 or 4.
 
 subset_pass is the one loop over t-subsets in bulk: the class census,
-brute-force design verdicts and `verify`'s sweeps all run through it.
+brute-force design verdicts and `verify`'s sweeps all run through it.  A
+pass in combinations order does each (t-1)-point prefix's work once
+(_sweep_chunk); any other pass classifies and tallies each subset on its
+own (_pass_chunk), which the tests keep as the sweep's oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache, partial
-from itertools import combinations, islice, product
+from itertools import combinations, groupby, islice, product
 from math import comb
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .field import Field
@@ -84,12 +88,16 @@ CLASSES = (
 )
 
 
+_OF_SIZE = {t: tuple(cls for cls in CLASSES if cls.t == t) for t in (2, 3, 4)}
+_SHARED = {tuple(cls): cls for cls in CLASSES}  # (t, rank, subcase) -> its CLASSES entry
+
+
 def classes_of_size(t: int) -> tuple[TClass, ...]:
     """The classes of t-point sets, in CLASSES order; refuses a t outside
     the paper's sizes 2..4."""
-    if not 2 <= t <= 4:
+    if t not in _OF_SIZE:
         raise ValueError(f"|T| must be in [2, 4], got {t}")
-    return tuple(cls for cls in CLASSES if cls.t == t)
+    return _OF_SIZE[t]
 
 
 class GrmCode:
@@ -97,10 +105,10 @@ class GrmCode:
 
     value_mask(u) is one bit per pair of a functional and a value, set
     where the functional takes that value at u; the functional tally of
-    brute force, count tables and the subset pass (_row_sums) adds the
-    masks of the points of T.  Masks are memoized per point, so a sweep
-    over many subsets builds each mask once.  The memo is emptied before
-    it would hold more than WORK_BUDGET 64-bit words.
+    brute force, count tables and the subset pass adds the masks of the
+    points of T.  Masks are memoized per point, so a sweep over many
+    subsets builds each mask once.  The memo is emptied before it would
+    hold more than WORK_BUDGET 64-bit words.
     """
 
     def __init__(self, field: Field, m: int):
@@ -259,8 +267,9 @@ def _lay_out(blocks: list[int], rows, width: int) -> list[int]:
 
 def _row_sums(code: GrmCode, points: PointSet) -> tuple[int, ...]:
     """b[i] counts the pairs (lam, v) of a functional and a value that lam
-    takes on exactly i points of T: the one tally behind count_tables and
-    the subset pass.  Its callers ask require_tally_budget.
+    takes on exactly i points of T: the tally behind count_tables and a
+    pass over a sample; a sweep counts the same b from each prefix's lane
+    sets (_leaf_profiles).  Its callers ask require_tally_budget.
 
     Each point's value mask (GrmCode.value_mask) holds one bit per pair.
     The masks are added into bit-sliced counters, planes[k] holding bit k
@@ -357,7 +366,7 @@ def _classify(code: GrmCode, points: PointSet) -> TClass:
         c = rows[2][m:]
         collinear = 0 in c or f.add(f.add(c[0], c[1]), c[2]) == 0
         subcase = COLLINEAR_TRIPLE if collinear else GENERIC
-    return TClass(t, rank, subcase)
+    return _SHARED[t, rank, subcase]
 
 
 def closed_class_census(q: int, m: int, t: int) -> dict[TClass, int]:
@@ -433,8 +442,18 @@ def subset_pass(
     range of spans(count, workers) calls subsets() itself and skips to the
     range's start, so no worker count lists the subsets; ranges merge in
     order.
+
+    subsets = partial(combinations, range(n), t), a sweep in combinations
+    order, runs _sweep_chunk on the state that _sweep_state builds before
+    the workers fork, unless its line table is beyond the work budget; any
+    other pass, such as a sample, runs _pass_chunk.  Both give the same
+    profiles.
     """
-    chunk = partial(_pass_chunk, code, subsets, tally, masks)
+    sweep = _sweep_state(code, subsets, tally, masks)
+    if sweep is None:
+        chunk = partial(_pass_chunk, code, subsets, tally, masks)
+    else:
+        chunk = partial(_sweep_chunk, sweep)
     profiles: dict[tuple, list] = {}
     for part in run_chunks(chunk, spans(count, workers), workers):
         for profile, (first, size) in part.items():
@@ -450,19 +469,142 @@ def _pass_chunk(code: GrmCode, subsets, tally: bool, masks, span: tuple[int, int
         profile = (
             _classify(code, points),
             _row_sums(code, points) if tally else None,
-            None if masks is None else _blocks_through(masks, sub),
+            None if masks is None else _blocks_through(masks, sub).bit_count(),
         )
         profiles.setdefault(profile, [sub, 0])[1] += 1
     return profiles
 
 
+def _sweep_state(code: GrmCode, subsets, tally: bool, masks) -> tuple | None:
+    """What every span of a sweep reads, when subsets is
+    partial(combinations, range(n), t) and, for t >= 3, the line table
+    fits the work budget; else None.  That is the code, t, the line table,
+    each position's value mask (if tally) and the block masks."""
+    if not (isinstance(subsets, partial) and subsets.func is combinations and not subsets.keywords):
+        return None
+    n, q = code.n, code.q
+    if subsets.args not in ((range(n), 2), (range(n), 3), (range(n), 4)):
+        return None
+    t = subsets.args[1]
+    lines = None
+    if t > 2:
+        # n^2 entries, and one mask of n bits per line
+        if n * n + n * (n - 1) // (q * (q - 1)) * -(-n // 64) > WORK_BUDGET:
+            return None
+        lines = _line_table(code)
+    values = [code.value_mask(code.point(i)) for i in range(n)] if tally else None
+    return code, t, lines, values, masks
+
+
+def _line_table(code: GrmCode) -> list[list[int]]:
+    """lines[a][b] is the affine line through positions a != b, as a mask
+    of positions; the pairs of one line share one int."""
+    n, f, points = code.n, code.field, code.points()
+    lines = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not lines[a][b]:
+                step = f.sub_scaled(points[b], 1, points[a])
+                on = [code.point_index(f.sub_scaled(points[a], x, step)) for x in f.elements()]
+                mask = sum(1 << i for i in on)
+                for i in on:
+                    for j in on:
+                        lines[i][j] = mask
+    return lines
+
+
+def _sweep_chunk(sweep: tuple, span: tuple[int, int]) -> dict:
+    """_pass_chunk's profiles for a span of combinations(range(n), t): the
+    subsets that share a (t-1)-point prefix come one after another, and
+    _leaf_profiles does each prefix's work once."""
+    code, t = sweep[:2]
+    profiles: dict[tuple, list] = {}
+    subsets = islice(combinations(range(code.n), t), *span)
+    for prefix, group in groupby(subsets, itemgetter(slice(t - 1))):
+        start = next(group)[-1]
+        stop = start + 1 + sum(1 for _ in group)
+        for d, profile in zip(range(start, stop), _leaf_profiles(sweep, prefix, start, stop)):
+            entry = profiles.get(profile)
+            if entry is None:
+                profiles[profile] = [prefix + (d,), 1]
+            else:
+                entry[1] += 1
+    return profiles
+
+
+def _leaf_profiles(sweep: tuple, prefix: tuple, start: int, stop: int) -> list[tuple]:
+    """The profiles of prefix + (d,) for d in range(start, stop), in order,
+    from the prefix's state, which is built once.
+
+    Class: d in `first` gives c1, else d in `second` gives c2, else c0.  A
+    triple is rank 1 when d is on the prefix's line.  A quad with a
+    collinear prefix is rank 1 when d is on that line; any other quad is
+    rank 3 off the prefix's plane, and collinear-triple on a line through
+    two prefix points.  Tally: lane set E_i holds the (functional, value)
+    lanes taken at i prefix points; with x_i the lanes of E_i in d's value
+    mask, b_i = |E_i| - x_i + x_(i-1).  Blocks: the prefix's block masks'
+    AND, ANDed with d's.
+    """
+    code, t, lines, values, masks = sweep
+    first = second = 0
+    c1 = c2 = None
+    if t == 2:
+        c0 = CLASSES[0]
+    elif t == 3:
+        first, c1, c0 = lines[prefix[0]][prefix[1]], CLASSES[2], CLASSES[1]
+    else:
+        u, v, w = prefix
+        line = lines[u][v]
+        if line >> w & 1:
+            first, c1, c0 = line, CLASSES[6], CLASSES[4]
+        else:
+            first, c1, c0 = line | lines[u][w] | lines[v][w], CLASSES[4], CLASSES[3]
+            second, c2 = _plane(code, lines, u, v, w), CLASSES[5]
+    if values is not None:
+        lanes = [(1 << code.size) - 1]  # E_0, ..., E_k after k prefix points
+        for i in prefix:
+            mask = values[i]
+            kept = [lane & ~mask for lane in lanes] + [0]
+            lanes = [kept[0]] + [x | y & mask for x, y in zip(kept[1:], lanes)]
+        _, l1, l2, l3 = lanes = lanes + [0] * (4 - t)
+        e0, e1, e2, e3 = map(int.bit_count, lanes)
+    if masks is not None:
+        common = _blocks_through(masks, prefix)
+    n, row = code.n, []
+    for d in range(start, stop):
+        b = blocks = None
+        if values is not None:
+            mask = values[d]
+            x1, x2, x3 = (l1 & mask).bit_count(), (l2 & mask).bit_count(), (l3 & mask).bit_count()
+            x0 = n - x1 - x2 - x3
+            b = (e0 - x0, e1 - x1 + x0, e2 - x2 + x1, e3 - x3 + x2, x3)[: t + 1]
+        if masks is not None:
+            blocks = (common & masks[d]).bit_count()
+        row.append((c1 if first >> d & 1 else c2 if second >> d & 1 else c0, b, blocks))
+    return row
+
+
+def _plane(code: GrmCode, lines: list[list[int]], u: int, v: int, w: int) -> int:
+    """The plane through positions u, v, w, which are not on one line, as a
+    mask: the lines from w to each point of line(u, v), and the parallel
+    to line(u, v) through w, which holds w + v - u."""
+    f, points = code.field, code.points()
+    corner = f.sub_scaled(points[w], 1, f.sub_scaled(points[u], 1, points[v]))
+    plane, rest = lines[w][code.point_index(corner)], lines[u][v]
+    while rest:
+        low = rest & -rest
+        plane |= lines[w][low.bit_length() - 1]
+        rest ^= low
+    return plane
+
+
 def _blocks_through(masks: list[int], sub) -> int:
-    """The number of blocks containing every position of sub: the set bits
-    of its masks' AND."""
+    """The blocks containing every position of sub, as a mask: its masks'
+    AND."""
     common = masks[sub[0]]
     for i in sub[1:]:
         common &= masks[i]
-    return common.bit_count()
+    return common
 
 
 # Candidate witnesses per class: each point's first three coordinates, as

@@ -175,14 +175,22 @@ SUBSET_CHECKS = [name for name in CHECKS if name.split("-")[-1] in ("pairs", "tr
 
 def test_each_subset_is_classified_once_per_run(monkeypatch):
     # 36 + 84 + 126 subsets, 56 quads through zero for the census and two
-    # quad witnesses: 304 classifications, where one pass per check made 796
-    honest = grm._classify
+    # quad witnesses: 304 classifications, where one pass per check made 796.
+    # The sweeps and the census classify in the prefix kernel, each prefix
+    # + (d,) once; the witness lookup calls _classify.
+    honest, honest_leaves = grm._classify, grm._leaf_profiles
     seen = {}
     stage = ["sweep"]  # or the census or witness lookup that is running
 
     def counting(code, points):
         seen.setdefault(stage[-1], []).append(points)
         return honest(code, points)
+
+    def counting_leaves(sweep, prefix, start, stop):
+        code = sweep[0]
+        for d in range(start, stop):
+            seen.setdefault(stage[-1], []).append(tuple(map(code.point, prefix + (d,))))
+        return honest_leaves(sweep, prefix, start, stop)
 
     def staged(name, fn, *args):
         stage.append(name)
@@ -192,6 +200,7 @@ def test_each_subset_is_classified_once_per_run(monkeypatch):
             stage.pop()
 
     monkeypatch.setattr(grm, "_classify", counting)
+    monkeypatch.setattr(grm, "_leaf_profiles", counting_leaves)
     for name in ("t_class_census", "reachable_classes"):
         monkeypatch.setattr(checks, name, partial(staged, name, getattr(checks, name)))
     results = run_checks(pairs=((3, 1, 2),), only=SUBSET_CHECKS)
@@ -225,6 +234,8 @@ def test_only_the_requested_compares_run(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(grm, "_row_sums", lambda *a: pytest.fail("tally ran"))
     monkeypatch.setattr(jacobi, "_row_sums", lambda *a: pytest.fail("tally ran"))
+    # a full sweep tallies through the value masks, read only for a tally
+    monkeypatch.setattr(GrmCode, "value_mask", lambda *a: pytest.fail("tally ran"))
     (result,) = run_checks(pairs=((3, 1, 2),), only=["design-quads"])
     assert result.status == "PASS"
 
@@ -275,7 +286,13 @@ def test_a_skewed_b_vector_fails_only_count_tables(monkeypatch):
 
 def test_a_class_that_does_not_determine_the_count_fails_verify(monkeypatch, capsys):
     # every triple called rank 2: the collinear ones lie in other blocks
-    monkeypatch.setattr(grm, "_classify", lambda code, points: grm.TClass(3, 2))
+    honest = grm._leaf_profiles
+
+    def all_rank_2(sweep, prefix, start, stop):
+        row = honest(sweep, prefix, start, stop)
+        return [(grm.TClass(3, 2), b, blocks) for _, b, blocks in row]
+
+    monkeypatch.setattr(grm, "_leaf_profiles", all_rank_2)
     code = GrmCode(Field(3), 2)
     with pytest.raises(designs.CountNotDetermined, match="does not determine the count"):
         designs.design_check_bruteforce(code, 6, 3)
@@ -303,14 +320,17 @@ def test_support_scalars_reports_the_first_counterexample(monkeypatch):
 def test_each_swept_subset_is_tallied_once(monkeypatch):
     # jacobi- and count-tables- checks of one size share one tally per
     # subset; neither reads it through count_tables
-    honest = grm._row_sums
+    honest = grm._leaf_profiles
     calls = []
 
-    def counting(code, points):
-        calls.append(points)
-        return honest(code, points)
+    def counting(sweep, prefix, start, stop):
+        row = honest(sweep, prefix, start, stop)
+        for d, (_, b, _) in zip(range(start, stop), row):
+            if b is not None:
+                calls.append(prefix + (d,))
+        return row
 
-    monkeypatch.setattr(grm, "_row_sums", counting)
+    monkeypatch.setattr(grm, "_leaf_profiles", counting)
     for module in (checks, jacobi):
         monkeypatch.setattr(module, "count_tables", lambda *a: pytest.fail("count tables ran"))
     results = run_checks(pairs=((3, 1, 2),), only=["jacobi-triples", "count-tables-triples"])
@@ -327,18 +347,18 @@ def test_the_first_failing_subset_is_reported(monkeypatch, workers, perturbed, f
     # At two workers the 84 triples of (3, 1, 2) run in 8 chunks, and
     # triples 23, 30 and 70 lie in chunks 2, 2 and 6.  Triples 30 and 70
     # are both of rank 2, so their perturbed profiles are one; 23 is
-    # collinear.  The pool forks, so the workers see the patched tally.
-    code = GrmCode(Field(3), 2)
-    targets = {tuple(code.points()[i] for i in TRIPLES_3_2[j]) for j in perturbed}
-    honest = grm._row_sums
+    # collinear.  The pool forks, so the workers see the patched kernel.
+    targets = {TRIPLES_3_2[j] for j in perturbed}
+    honest = grm._leaf_profiles
 
-    def perturbed_tally(code, points):
-        b = honest(code, points)
-        if points in targets:  # one (functional, value) moved from b_0 to b_1
-            b = (b[0] - 1, b[1] + 1) + b[2:]
-        return b
+    def perturbed_tally(sweep, prefix, start, stop):
+        row = honest(sweep, prefix, start, stop)
+        for d, (cls, b, blocks) in zip(range(start, stop), row):
+            if prefix + (d,) in targets:  # one (functional, value) moved from b_0 to b_1
+                row[d - start] = (cls, (b[0] - 1, b[1] + 1) + b[2:], blocks)
+        return row
 
-    monkeypatch.setattr(grm, "_row_sums", perturbed_tally)
+    monkeypatch.setattr(grm, "_leaf_profiles", perturbed_tally)
     only = ["jacobi-triples", "count-tables-triples"]
     results = run_checks(pairs=((3, 1, 2),), only=only, workers=workers)
     assert [r.status for r in results] == ["FAIL", "FAIL"]

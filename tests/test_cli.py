@@ -621,3 +621,18 @@ def test_repeated_runs_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, argv)
     _, out2, _ = run_cli(capsys, argv)
     assert out1 == out2
+
+
+def test_only_verify_loads_the_checks():
+    # a fresh interpreter, so that no earlier test has imported them
+    script = (
+        "import sys\n"
+        "from grmjacobi.cli import main\n"
+        "code = main(['design', '--p', '3', '--m', '2', '--l', '6', '--t', '3'])\n"
+        "print('grmjacobi.checks' in sys.modules, code, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(grmjacobi.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stderr.split() == ["False", "0"]

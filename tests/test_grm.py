@@ -316,6 +316,59 @@ def test_a_pass_does_not_depend_on_the_worker_count(source):
     assert sum(size for _, (_, size) in one) == count
 
 
+def merged(parts, tally: bool, masks) -> dict:
+    """Profiles of consecutive spans merged in order, with b dropped unless
+    tally and blocks unless masks are given: what one pass without them
+    records."""
+    profiles = {}
+    for part in parts:
+        for (cls, b, blocks), (first, size) in part.items():
+            key = (cls, b if tally else None, None if masks is None else blocks)
+            profiles.setdefault(key, [first, 0])[1] += size
+    return profiles
+
+
+@pytest.mark.parametrize("p,k,m", SMALL_CODES)
+def test_the_prefix_kernel_equals_the_per_subset_pass(p, k, m):
+    # _pass_chunk, which classifies and tallies each subset on its own, is
+    # the oracle, run once per span with the tally and the block masks on.
+    # Every span but the first starts mid-prefix when n > t.
+    code = get_code(p, k, m)
+    for t in range(2, min(4, code.n) + 1):
+        subsets, total = partial(combinations, range(code.n), t), comb(code.n, t)
+        masks, _ = block_masks(code, (code.q - 1) * code.q ** (code.m - 1), t)
+        cuts = sorted({0, 1, total // 3, total // 2, total - 1, total})
+        spans = list(zip(cuts, cuts[1:]))
+        oracles = [grm._pass_chunk(code, subsets, True, masks, span) for span in spans]
+        for tally, given in product((False, True), (None, masks)):
+            sweep = grm._sweep_state(code, subsets, tally, given)
+            assert sweep is not None
+            for span, oracle in zip(spans, oracles):
+                got = grm._sweep_chunk(sweep, span)
+                assert list(got.items()) == list(merged([oracle], tally, given).items())
+                # the profiles hold the shared class objects
+                assert {id(cls) for cls, _, _ in got} <= set(map(id, grm.CLASSES))
+            expected = merged(oracles, tally, given)
+            for workers in (1, 2):
+                got = subset_pass(code, subsets, total, tally, given, workers)
+                assert list(got.items()) == list(expected.items())
+
+
+def test_only_a_sweep_whose_line_table_fits_runs_the_kernel(monkeypatch):
+    code = get_code(3, 1, 2)
+    triples = partial(combinations, range(9), 3)
+    assert grm._sweep_state(code, triples, True, None) is not None
+    sample = sample_subsets(9, 3, 50)
+    assert grm._sweep_state(code, lambda: sample, True, None) is None
+    assert grm._sweep_state(code, partial(combinations, range(8), 3), True, None) is None
+    # 9 x 9 pairs and 12 lines of one word each
+    monkeypatch.setattr(grm, "WORK_BUDGET", 9 * 9 + 12 - 1)
+    assert grm._sweep_state(code, triples, True, None) is None
+    assert grm._sweep_state(code, partial(combinations, range(9), 2), True, None) is not None
+    expected = grm._pass_chunk(code, triples, True, None, (0, 84))
+    assert list(subset_pass(code, triples, 84, True).items()) == list(expected.items())
+
+
 @pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (4, 1), (2, 6), (9, 3), (64, 4), (125, 2)])
 def test_closed_census_sizes_are_positive_and_sum_to_all_subsets(q, m):
     for t in (2, 3, 4):
