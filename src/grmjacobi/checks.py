@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 import sys
-from functools import partial
 from itertools import combinations, permutations, product
 from math import comb
 from typing import NamedTuple
@@ -119,17 +118,6 @@ def _draw(rng: random.Random, n: int, t: int):
     return sub
 
 
-def subsets_for_sweep(code: GrmCode, t: int) -> tuple:
-    """Every t-subset when there are at most 10^6, else a deterministic
-    10^4-subset sample; returns (subsets, number of subsets, mode), where
-    subsets() is a fresh iterable of them, as subset_pass takes it."""
-    total = comb(code.n, t)
-    if total <= FULL_SWEEP_LIMIT:
-        return partial(combinations, range(code.n), t), total, "full"
-    sample = sample_subsets(code.n, t, SAMPLE_SIZE)
-    return lambda: sample, len(sample), "sampled"
-
-
 def _sampled(code: GrmCode, rng: random.Random, count: int):
     """Yield (t, subset, points) for up to `count` sampled t-subsets of each
     size t = 2..4 that fits the code.  Each size's sample seed is drawn
@@ -192,11 +180,11 @@ class SubsetPasses:
     """The passes over t-subsets that one run_checks call makes for one code.
 
     The first jacobi-, count-tables- or design- check of size t to run
-    makes the one pass over the t-subsets (all of them, or the sample that
-    subsets_for_sweep draws) that serves every requested check of that
-    size; the others read its profiles.  Each check's budget is asked
-    before the pass: a refused check is left out of it, and raises its
-    BudgetExceeded when it asks for the pass.
+    makes the one pass over the t-subsets (all of them up to
+    FULL_SWEEP_LIMIT, else a sample of SAMPLE_SIZE) that serves every
+    requested check of that size; the others read its profiles.  Each
+    check's budget is asked before the pass: a refused check is left out
+    of it, and raises its BudgetExceeded when it asks for the pass.
     """
 
     def __init__(self, code: GrmCode, names, workers: int):
@@ -237,12 +225,16 @@ class SubsetPasses:
                 refusals["design"] = refusal
         if not tally and masks is None:
             return refusals, (None, 0, {}, None)
-        subsets, swept, mode = subsets_for_sweep(code, t)
-        # A sweep samples only beyond 10^6 subsets, and C(n, t) > 10^6 makes
+        swept = comb(code.n, t)
+        mode, subsets = "full", swept
+        if swept > FULL_SWEEP_LIMIT:
+            subsets = sample_subsets(code.n, t, SAMPLE_SIZE)
+            mode, swept = "sampled", len(subsets)
+        # A pass samples only beyond 10^6 subsets, and C(n, t) > 10^6 makes
         # C(n, t) times the q(n - 1) middle-shell blocks exceed the work
         # budget, so the design route only ever rides on a full sweep.
         assert masks is None or mode == "full", "design pass over a sample"
-        profiles = subset_pass(code, subsets, swept, tally, masks, self.workers)
+        profiles = subset_pass(code, t, subsets, tally, masks, self.workers)
         return refusals, (mode, swept, profiles, blocks)
 
 

@@ -5,16 +5,15 @@ reads the count of blocks through a t-subset off the closed-form
 polynomial of the subset's class and takes the class sizes from the
 closed-form census, so it enumerates nothing, while the brute-force route
 classifies every t-subset and counts supports directly, in one
-grm.subset_pass with the shell's block masks.  Blocks are counted with
-multiplicity (scalar multiples of a codeword contribute separate blocks),
-so Jacobi coefficients equal block counts exactly.
+grm.subset_pass sweep over all C(n, t) of them with the shell's block
+masks.  Blocks are counted with multiplicity (scalar multiples of a
+codeword contribute separate blocks), so Jacobi coefficients equal block
+counts exactly.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import combinations
 from typing import NamedTuple
 
 from .grm import (
@@ -145,8 +144,7 @@ def design_check_bruteforce(
     same class see different counts.
     """
     masks, block_count = block_masks(code, ell, t)
-    subsets = partial(combinations, range(code.n), t)
-    profiles = subset_pass(code, subsets, math.comb(code.n, t), masks=masks, workers=workers)
+    profiles = subset_pass(code, t, math.comb(code.n, t), masks=masks, workers=workers)
     return blocks_report(code, ell, t, profiles, block_count)
 
 

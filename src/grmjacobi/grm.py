@@ -22,10 +22,11 @@ CLASSES is the one table of the paper's seven classes, which every other
 module reads, and classes_of_size(t) the one check that t is 2, 3 or 4.
 
 subset_pass is the one loop over t-subsets in bulk: the class census,
-brute-force design verdicts and `verify`'s sweeps all run through it.  A
-pass in combinations order does each (t-1)-point prefix's work once
-(_sweep_chunk); any other pass classifies and tallies each subset on its
-own (_pass_chunk), which the tests keep as the sweep's oracle.
+brute-force design verdicts and `verify`'s passes all run through it.  A
+sweep, a number of leading t-subsets in combinations order, does each
+(t-1)-point prefix's work once (_sweep_chunk); a sample, a list of them,
+classifies and tallies each subset on its own (_pass_chunk), which the
+tests keep as the sweep's oracle.
 """
 
 from __future__ import annotations
@@ -265,39 +266,41 @@ def _lay_out(blocks: list[int], rows, width: int) -> list[int]:
 # -- the functional tally -----------------------------------------------
 
 
-def _row_sums(code: GrmCode, points: PointSet) -> tuple[int, ...]:
-    """b[i] counts the pairs (lam, v) of a functional and a value that lam
-    takes on exactly i points of T: the tally behind count_tables and a
-    pass over a sample; a sweep counts the same b from each prefix's lane
-    sets (_leaf_profiles).  Its callers ask require_tally_budget.
-
-    Each point's value mask (GrmCode.value_mask) holds one bit per pair.
-    The masks are added into bit-sliced counters, planes[k] holding bit k
-    of every pair's count, so each word operation counts 64 pairs; b[i]
-    for i >= 1 is the number of pairs whose count is i, and b[0] the rest
-    of the q*n pairs.  Every row sum, and so every a_i, is the same on each
-    translate of T: on T + v each functional takes its values on T shifted
-    by lam(v).
+def _lanes(masks, k: int) -> list[int]:
+    """The functional tally: E_1, ..., E_k, E_i the mask of the lanes, the
+    (functional, value) pairs of GrmCode.value_mask, that exactly i of the
+    masks hold.  _row_sums counts a subset's sets; the sweep kernel reads
+    a prefix's.  The masks are added into bit-sliced counters, planes[j]
+    holding bit j of every lane's count, so each word operation counts 64
+    lanes; E_i ANDs each planes[j] or, where bit j of i is 0, its inverse.
     """
     planes: list[int] = []
-    for u in points:
-        carry = code.value_mask(u)
-        k = 0
+    for carry in masks:
+        j = 0
         while carry:
-            if k == len(planes):
+            if j == len(planes):
                 planes.append(carry)
                 break
-            planes[k], carry = planes[k] ^ carry, planes[k] & carry
-            k += 1
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+            j += 1
     inverted = [~plane for plane in planes]
-    b = [0] * (len(points) + 1)
-    for i in range(1, min(len(b), 1 << len(planes))):
+    sets = [0] * k
+    for i in range(1, min(k + 1, 1 << len(planes))):
         lanes = -1
-        for k, plane in enumerate(planes):
-            lanes &= plane if i >> k & 1 else inverted[k]
-        b[i] = lanes.bit_count()
-    b[0] = code.size - sum(b)
-    return tuple(b)
+        for j, plane in enumerate(planes):
+            lanes &= plane if i >> j & 1 else inverted[j]
+        sets[i - 1] = lanes
+    return sets
+
+
+def _row_sums(code: GrmCode, points: PointSet) -> tuple[int, ...]:
+    """b[i] counts the pairs (lam, v) of a functional and a value that lam
+    takes on exactly i points of T: |E_i| of _lanes for i >= 1, and b[0]
+    the rest of the q*n pairs.  Its callers ask require_tally_budget.  On
+    T + v each functional takes its values on T shifted by lam(v), so every
+    row sum, and so every a_i, is the same on each translate of T."""
+    sizes = [lanes.bit_count() for lanes in _lanes(map(code.value_mask, points), len(points))]
+    return (code.size - sum(sizes), *sizes)
 
 
 def require_tally_budget(code: GrmCode, t: int) -> None:
@@ -369,12 +372,17 @@ def _classify(code: GrmCode, points: PointSet) -> TClass:
     return _SHARED[t, rank, subcase]
 
 
+def _line_count(q: int, n: int) -> int:
+    """The affine lines of V: n(n-1) ordered pairs of points, q(q-1) a line."""
+    return n * (n - 1) // (q * (q - 1))
+
+
 def closed_class_census(q: int, m: int, t: int) -> dict[TClass, int]:
     """Class -> number of t-subsets of V = GF(q)^m in that class, counted
     from affine lines and planes with no enumeration; classes of size 0 are
     left out.  t_class_census is its enumerated oracle.
 
-    V has L = q^(m-1)(q^m - 1)/(q - 1) lines of q points and, for m >= 2,
+    V has L = n(n - 1)/(q(q - 1)) lines of q points and, for m >= 2,
     P = q^(m-2) [m choose 2]_q planes of q^2 points.  A rank-1 subset is t
     points of one line.  A collinear-triple quad is three points of a line
     and one point off it; it has only one such triple, since two would
@@ -384,7 +392,7 @@ def closed_class_census(q: int, m: int, t: int) -> dict[TClass, int]:
     """
     classes = classes_of_size(t)
     n = q**m
-    lines = q ** (m - 1) * (n - 1) // (q - 1)
+    lines = _line_count(q, n)
     rank1 = lines * comb(q, t)
     if t == 2:
         sizes = (rank1,)
@@ -414,7 +422,7 @@ def t_class_census(code: GrmCode, t: int) -> dict[TClass, int]:
     n = code.n
     through_zero = comb(n - 1, t - 1)
     require_budget(through_zero, f"C({n - 1}, {t - 1}) subsets through zero")
-    profiles = subset_pass(code, partial(combinations, range(n), t), through_zero)
+    profiles = subset_pass(code, t, through_zero)
     census = {}
     for (cls, _, _), (_, cnt) in profiles.items():
         census[cls], rest = divmod(n * cnt, t)
@@ -430,28 +438,29 @@ def t_class_census(code: GrmCode, t: int) -> dict[TClass, int]:
 
 
 def subset_pass(
-    code: GrmCode, subsets, count: int, tally: bool = False, masks=None, workers: int = 1
+    code: GrmCode, t: int, subsets, tally: bool = False, masks=None, workers: int = 1
 ) -> dict[tuple, list]:
-    """One pass over the first `count` items of subsets(), which returns a
-    fresh iterable of tuples of position indices on each call; each subset
-    is decoded and classified once.  Its profile is (class, b, blocks): b
-    the row sums of its functional tally if `tally` (the caller asks the
-    tally's budget), blocks the number of blocks through it if block masks
-    are given, else None.  Returns profile -> [first subset, number of
-    subsets] in order of first occurrence.  The worker that runs an index
-    range of spans(count, workers) calls subsets() itself and skips to the
-    range's start, so no worker count lists the subsets; ranges merge in
-    order.
+    """One pass over t-subsets of positions: `subsets` is a number, that
+    many leading subsets of combinations(range(n), t) (a sweep), or a list
+    of them (a sample).  Each subset is decoded and classified once.  Its
+    profile is (class, b, blocks): b the row sums of its functional tally
+    if `tally` (the caller asks the tally's budget), blocks the number of
+    blocks through it if block masks are given, else None.  Returns
+    profile -> [first subset, number of subsets] in order of first
+    occurrence.  The index ranges of spans(count, workers) merge in order,
+    and the worker that runs a range of a sweep draws its subsets itself,
+    so no worker count lists them.
 
-    subsets = partial(combinations, range(n), t), a sweep in combinations
-    order, runs _sweep_chunk on the state that _sweep_state builds before
-    the workers fork, unless its line table is beyond the work budget; any
-    other pass, such as a sample, runs _pass_chunk.  Both give the same
-    profiles.
+    A sweep runs _sweep_chunk on the state that _sweep_state builds before
+    the workers fork, unless its line table is beyond the work budget; that
+    sweep and every sample run _pass_chunk.  Both give the same profiles.
     """
-    sweep = _sweep_state(code, subsets, tally, masks)
+    if isinstance(subsets, int):
+        count, sample, sweep = subsets, None, _sweep_state(code, t, tally, masks)
+    else:
+        count, sample, sweep = len(subsets), subsets, None
     if sweep is None:
-        chunk = partial(_pass_chunk, code, subsets, tally, masks)
+        chunk = partial(_pass_chunk, code, t, sample, tally, masks)
     else:
         chunk = partial(_sweep_chunk, sweep)
     profiles: dict[tuple, list] = {}
@@ -461,10 +470,12 @@ def subset_pass(
     return profiles
 
 
-def _pass_chunk(code: GrmCode, subsets, tally: bool, masks, span: tuple[int, int]) -> dict:
+def _pass_chunk(code: GrmCode, t: int, sample, tally: bool, masks, span: tuple[int, int]) -> dict:
+    """Profiles one subset at a time, of a span of the sample or the sweep."""
     decode = cache(code.point)  # each position decoded once per chunk
+    subsets = combinations(range(code.n), t) if sample is None else sample
     profiles: dict[tuple, list] = {}
-    for sub in islice(subsets(), *span):
+    for sub in islice(subsets, *span):
         points = tuple(map(decode, sub))
         profile = (
             _classify(code, points),
@@ -475,21 +486,16 @@ def _pass_chunk(code: GrmCode, subsets, tally: bool, masks, span: tuple[int, int
     return profiles
 
 
-def _sweep_state(code: GrmCode, subsets, tally: bool, masks) -> tuple | None:
-    """What every span of a sweep reads, when subsets is
-    partial(combinations, range(n), t) and, for t >= 3, the line table
-    fits the work budget; else None.  That is the code, t, the line table,
-    each position's value mask (if tally) and the block masks."""
-    if not (isinstance(subsets, partial) and subsets.func is combinations and not subsets.keywords):
-        return None
-    n, q = code.n, code.q
-    if subsets.args not in ((range(n), 2), (range(n), 3), (range(n), 4)):
-        return None
-    t = subsets.args[1]
+def _sweep_state(code: GrmCode, t: int, tally: bool, masks) -> tuple | None:
+    """What every span of a sweep over t-subsets reads, unless t >= 3 and
+    the line table is beyond the work budget (then None).  That is the
+    code, t, the line table, each position's value mask (if tally) and the
+    block masks."""
+    n = code.n
     lines = None
     if t > 2:
         # n^2 entries, and one mask of n bits per line
-        if n * n + n * (n - 1) // (q * (q - 1)) * -(-n // 64) > WORK_BUDGET:
+        if n * n + _line_count(code.q, n) * -(-n // 64) > WORK_BUDGET:
             return None
         lines = _line_table(code)
     values = [code.value_mask(code.point(i)) for i in range(n)] if tally else None
@@ -540,10 +546,10 @@ def _leaf_profiles(sweep: tuple, prefix: tuple, start: int, stop: int) -> list[t
     triple is rank 1 when d is on the prefix's line.  A quad with a
     collinear prefix is rank 1 when d is on that line; any other quad is
     rank 3 off the prefix's plane, and collinear-triple on a line through
-    two prefix points.  Tally: lane set E_i holds the (functional, value)
-    lanes taken at i prefix points; with x_i the lanes of E_i in d's value
-    mask, b_i = |E_i| - x_i + x_(i-1).  Blocks: the prefix's block masks'
-    AND, ANDed with d's.
+    two prefix points.  Tally: _lanes gives the prefix's lane sets E_i,
+    the (functional, value) lanes taken at exactly i prefix points; with
+    x_i the lanes of E_i in d's value mask, b_i = |E_i| - x_i + x_(i-1).
+    Blocks: the prefix's block masks' AND, ANDed with d's.
     """
     code, t, lines, values, masks = sweep
     first = second = 0
@@ -561,13 +567,9 @@ def _leaf_profiles(sweep: tuple, prefix: tuple, start: int, stop: int) -> list[t
             first, c1, c0 = line | lines[u][w] | lines[v][w], CLASSES[4], CLASSES[3]
             second, c2 = _plane(code, lines, u, v, w), CLASSES[5]
     if values is not None:
-        lanes = [(1 << code.size) - 1]  # E_0, ..., E_k after k prefix points
-        for i in prefix:
-            mask = values[i]
-            kept = [lane & ~mask for lane in lanes] + [0]
-            lanes = [kept[0]] + [x | y & mask for x, y in zip(kept[1:], lanes)]
-        _, l1, l2, l3 = lanes = lanes + [0] * (4 - t)
-        e0, e1, e2, e3 = map(int.bit_count, lanes)
+        l1, l2, l3 = _lanes([values[i] for i in prefix], t - 1) + [0] * (4 - t)
+        e1, e2, e3 = l1.bit_count(), l2.bit_count(), l3.bit_count()
+        e0 = code.size - e1 - e2 - e3
     if masks is not None:
         common = _blocks_through(masks, prefix)
     n, row = code.n, []

@@ -9,7 +9,6 @@ budgets are checked on the single-worker build.
 import json
 import random
 import time
-from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -73,25 +72,21 @@ def census_json(census) -> dict:
     return {cls.label(): census[cls] for cls in sorted(census, key=lambda c: c.label())}
 
 
-def sweep(code: GrmCode, subsets, count: int, compare, workers: int) -> list[dict]:
-    """The first mismatch of one compare over the first count items of
-    subsets(), as a one-item list; [] when there is none."""
-    profiles = subset_pass(code, subsets, count, tally=True, workers=workers)
+def sweep(code: GrmCode, t: int, subsets, compare, workers: int) -> list[dict]:
+    """The first mismatch of one compare over subset_pass(code, t,
+    subsets), as a one-item list; [] when there is none."""
+    profiles = subset_pass(code, t, subsets, tally=True, workers=workers)
     mismatch = first_mismatch(code, profiles, compare)
     return [] if mismatch is None else [mismatch]
 
 
-def all_subsets(code: GrmCode, t: int):
-    """(subsets, count) of every t-subset, as subset_pass takes them."""
-    return partial(combinations, range(code.n), t), comb(code.n, t)
-
-
 def quad_subsets(code: GrmCode):
-    """(subsets, count, mode) of the quad sweep, as subset_pass takes them."""
+    """(subsets, count, mode) of the quad sweep, subsets as subset_pass
+    takes it."""
     if (code.q, code.m) in SAMPLED_QUAD:
         sample = sample_subsets(code.n, 4, QUAD_SAMPLE_SIZE)
-        return lambda: sample, len(sample), "sampled"
-    return *all_subsets(code, 4), "full"
+        return sample, len(sample), "sampled"
+    return comb(code.n, 4), comb(code.n, 4), "full"
 
 
 # ---------------------------------------------------------------------
@@ -124,17 +119,18 @@ def build_report(workers: int) -> tuple[dict, dict]:
         code = code_for(p, k, m)
         entry = {}
         for t in (2, 3):
-            subs, count = all_subsets(code, t)
-            mism = sweep(code, subs, count, jacobi_mismatch, workers=workers)
+            count = comb(code.n, t)
+            mism = sweep(code, t, count, jacobi_mismatch, workers=workers)
             entry[f"t{t}"] = {"mode": "full", "checked": count, "mismatches": mism}
         if code.n >= 4:
             subs, count, mode = quad_subsets(code)
-            mism = sweep(code, subs, count, jacobi_mismatch, workers=workers)
+            mism = sweep(code, 4, subs, jacobi_mismatch, workers=workers)
             census = t_class_census(code, 4)
+            listed = subs if mode == "sampled" else combinations(range(code.n), 4)
             sampled_classes = sorted(
                 {
                     classify_T(code, tuple(code.points()[i] for i in sub)).label()
-                    for sub in subs()
+                    for sub in listed
                 }
             )
             entry["t4"] = {
@@ -155,17 +151,17 @@ def build_report(workers: int) -> tuple[dict, dict]:
         code = code_for(p, k, m)
         entry = {}
         for t in (2, 3):
-            subs, count = all_subsets(code, t)
+            count = comb(code.n, t)
             entry[f"t{t}"] = {
                 "checked": count,
-                "mismatches": sweep(code, subs, count, count_mismatch, workers=workers),
+                "mismatches": sweep(code, t, count, count_mismatch, workers=workers),
             }
         if code.n >= 4:
             subs, count, mode = quad_subsets(code)
             entry["t4"] = {
                 "mode": mode,
                 "checked": count,
-                "mismatches": sweep(code, subs, count, count_mismatch, workers=workers),
+                "mismatches": sweep(code, 4, subs, count_mismatch, workers=workers),
             }
         c3[pair_key(code)] = entry
     report["criterion_3"] = c3

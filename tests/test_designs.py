@@ -1,4 +1,3 @@
-from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -15,7 +14,7 @@ from grmjacobi import (
     design_check_jacobi,
     generalized_design_params,
 )
-from grmjacobi import checks, designs, grm
+from grmjacobi import designs, grm
 from grmjacobi.checks import run_checks
 from grmjacobi.designs import route_disagreement
 from grmjacobi.grm import BudgetExceeded
@@ -131,10 +130,11 @@ def test_brute_force_design_evaluates_each_functional_once(monkeypatch):
 
 @pytest.mark.parametrize("route", ["design", "verify"])
 def test_a_one_worker_full_pass_draws_each_subset_as_it_classifies_it(monkeypatch, route):
-    # the pass reads the combinations as they come, with no list of them
-    # first: when it classifies subset k (from 0) it has drawn exactly k + 1
-    drawn = classified = 0
-    honest = grm._classify
+    # the kernel reads the combinations as they come, with no list of them
+    # first: when it profiles a prefix's subsets it has drawn at most one
+    # more, the first of the next prefix, which ends the group
+    drawn = profiled = 0
+    honest = grm._leaf_profiles
 
     def counting_combinations(*args):
         nonlocal drawn
@@ -142,34 +142,30 @@ def test_a_one_worker_full_pass_draws_each_subset_as_it_classifies_it(monkeypatc
             drawn += 1
             yield sub
 
-    def checking(code, points):
-        nonlocal classified
-        assert drawn == classified + 1
-        classified += 1
-        return honest(code, points)
+    def checking(sweep, prefix, start, stop):
+        nonlocal profiled
+        profiled += stop - start
+        assert profiled <= drawn <= profiled + 1
+        return honest(sweep, prefix, start, stop)
 
-    for module in (designs, checks):
-        monkeypatch.setattr(module, "combinations", counting_combinations)
-    monkeypatch.setattr(grm, "_classify", checking)
+    monkeypatch.setattr(grm, "combinations", counting_combinations)
+    monkeypatch.setattr(grm, "_leaf_profiles", checking)
     if route == "design":
         design_check_bruteforce(get_code(3, 1, 2), 6, 3)
     else:
         (result,) = run_checks(pairs=((3, 1, 2),), only=["jacobi-triples"])
         assert (result.status, result.detail) == ("PASS", "full sweep over 84 subsets")
-    assert classified == drawn == 84
+    assert profiled == drawn == 84
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_pass_over_a_generator_equals_one_over_its_list(workers):
+def test_a_sample_of_every_subset_gives_the_sweeps_profiles(workers):
     code = get_code(2, 2, 2)
     masks, _ = designs.block_masks(code, 12, 4)
     listed = list(combinations(range(code.n), 4))
-    expected = list(grm.subset_pass(code, lambda: listed, len(listed), True, masks).items())
+    expected = list(grm.subset_pass(code, 4, len(listed), True, masks, workers).items())
     assert len(expected) == 3  # the three quad classes of GF(4)^2
-    generators = (lambda: (sub for sub in listed), partial(combinations, range(code.n), 4))
-    for subsets in (lambda: listed, *generators):
-        profiles = grm.subset_pass(code, subsets, len(listed), True, masks, workers)
-        assert list(profiles.items()) == expected
+    assert list(grm.subset_pass(code, 4, listed, True, masks, workers).items()) == expected
 
 
 def test_count_blocks_containing_matches_report(code_3_2):

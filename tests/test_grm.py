@@ -3,7 +3,7 @@ import os
 import pickle
 import random
 from collections import Counter
-from functools import cache, partial
+from functools import cache
 from itertools import combinations, product
 from math import comb
 
@@ -285,16 +285,17 @@ def test_closed_census_equals_census_through_zero(p, k, m):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_above_one_worker_the_parent_never_draws_the_subsets(workers):
+def test_above_one_worker_the_parent_never_draws_the_subsets(monkeypatch, workers):
     code = get_code(3, 1, 2)
     parent = os.getpid()
+    expected = subset_pass(code, 3, 84, tally=True)
 
-    def subsets():
+    def drawing(*args):
         assert os.getpid() != parent, "the parent drew the subsets"
-        return combinations(range(code.n), 3)
+        return combinations(*args)
 
-    expected = subset_pass(code, partial(combinations, range(code.n), 3), 84, tally=True)
-    got = subset_pass(code, subsets, 84, tally=True, workers=workers)
+    monkeypatch.setattr(grm, "combinations", drawing)
+    got = subset_pass(code, 3, 84, tally=True, workers=workers)
     assert list(got.items()) == list(expected.items())
 
 
@@ -304,12 +305,12 @@ def test_a_pass_does_not_depend_on_the_worker_count(source):
     masks, _ = block_masks(code, 6, 4)
     sample = sample_subsets(code.n, 4, 50)
     subsets, count = {
-        "full": (partial(combinations, range(code.n), 4), comb(code.n, 4)),
-        "sampled": (lambda: sample, len(sample)),
-        "census": (partial(combinations, range(code.n), 4), comb(code.n - 1, 3)),
+        "full": (comb(code.n, 4), comb(code.n, 4)),
+        "sampled": (sample, len(sample)),
+        "census": (comb(code.n - 1, 3), comb(code.n - 1, 3)),
     }[source]
     one, *more = (
-        list(subset_pass(code, subsets, count, True, masks, workers).items())
+        list(subset_pass(code, 4, subsets, True, masks, workers).items())
         for workers in (1, 2, 3)
     )
     assert all(profiles == one for profiles in more)
@@ -335,13 +336,13 @@ def test_the_prefix_kernel_equals_the_per_subset_pass(p, k, m):
     # Every span but the first starts mid-prefix when n > t.
     code = get_code(p, k, m)
     for t in range(2, min(4, code.n) + 1):
-        subsets, total = partial(combinations, range(code.n), t), comb(code.n, t)
+        total = comb(code.n, t)
         masks, _ = block_masks(code, (code.q - 1) * code.q ** (code.m - 1), t)
         cuts = sorted({0, 1, total // 3, total // 2, total - 1, total})
         spans = list(zip(cuts, cuts[1:]))
-        oracles = [grm._pass_chunk(code, subsets, True, masks, span) for span in spans]
+        oracles = [grm._pass_chunk(code, t, None, True, masks, span) for span in spans]
         for tally, given in product((False, True), (None, masks)):
-            sweep = grm._sweep_state(code, subsets, tally, given)
+            sweep = grm._sweep_state(code, t, tally, given)
             assert sweep is not None
             for span, oracle in zip(spans, oracles):
                 got = grm._sweep_chunk(sweep, span)
@@ -350,23 +351,30 @@ def test_the_prefix_kernel_equals_the_per_subset_pass(p, k, m):
                 assert {id(cls) for cls, _, _ in got} <= set(map(id, grm.CLASSES))
             expected = merged(oracles, tally, given)
             for workers in (1, 2):
-                got = subset_pass(code, subsets, total, tally, given, workers)
+                got = subset_pass(code, t, total, tally, given, workers)
                 assert list(got.items()) == list(expected.items())
 
 
 def test_only_a_sweep_whose_line_table_fits_runs_the_kernel(monkeypatch):
     code = get_code(3, 1, 2)
-    triples = partial(combinations, range(9), 3)
-    assert grm._sweep_state(code, triples, True, None) is not None
-    sample = sample_subsets(9, 3, 50)
-    assert grm._sweep_state(code, lambda: sample, True, None) is None
-    assert grm._sweep_state(code, partial(combinations, range(8), 3), True, None) is None
+    assert grm._sweep_state(code, 3, True, None) is not None
+    swept = list(subset_pass(code, 3, 84, True).items())
+    # a sample runs _pass_chunk, even one that lists the whole sweep
+    triples = list(combinations(range(9), 3))
+    with monkeypatch.context() as patch:
+        patch.setattr(grm, "_sweep_chunk", lambda *a: pytest.fail("the kernel ran"))
+        assert list(subset_pass(code, 3, triples, True).items()) == swept
+        sample = sample_subsets(9, 3, 50)
+        expected = grm._pass_chunk(code, 3, sample, True, None, (0, 50))
+        assert list(subset_pass(code, 3, sample, True).items()) == list(expected.items())
     # 9 x 9 pairs and 12 lines of one word each
+    lines = {mask for row in grm._line_table(code) for mask in row if mask}
+    assert len(lines) == grm._line_count(code.q, code.n) == 12
     monkeypatch.setattr(grm, "WORK_BUDGET", 9 * 9 + 12 - 1)
-    assert grm._sweep_state(code, triples, True, None) is None
-    assert grm._sweep_state(code, partial(combinations, range(9), 2), True, None) is not None
-    expected = grm._pass_chunk(code, triples, True, None, (0, 84))
-    assert list(subset_pass(code, triples, 84, True).items()) == list(expected.items())
+    assert grm._sweep_state(code, 3, True, None) is None
+    assert grm._sweep_state(code, 2, True, None) is not None
+    expected = grm._pass_chunk(code, 3, None, True, None, (0, 84))
+    assert list(subset_pass(code, 3, 84, True).items()) == list(expected.items()) == swept
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (4, 1), (2, 6), (9, 3), (64, 4), (125, 2)])

@@ -176,6 +176,23 @@ def test_tally_row_sums_equal_a_count_per_functional(case, data):
     assert _row_sums(code, T) == counted_row_sums(code, T)
 
 
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(SMALL_CODES), st.data())
+def test_tally_lane_sets_hold_the_lanes_that_i_masks_hold(case, data):
+    # the sweep kernel ANDs each set with a point's value mask, so the
+    # sets' sizes, which the row sums check, do not cover it
+    code = get_code(*case)
+    t = data.draw(st.integers(0, min(7, code.n)))
+    indices = data.draw(st.lists(st.integers(0, code.n - 1), min_size=t, max_size=t, unique=True))
+    masks = [code.value_mask(code.point(i)) for i in indices]
+    expected = [0] * t
+    for bit in range(code.size):
+        held = sum(mask >> bit & 1 for mask in masks)
+        if held:
+            expected[held - 1] |= 1 << bit
+    assert grm._lanes(masks, t) == expected
+
+
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(code_and_points())
 def test_dual_transform_is_an_involution(case):
