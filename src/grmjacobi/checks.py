@@ -354,8 +354,8 @@ def check_classify_invariance(code: GrmCode, passes: SubsetPasses) -> tuple:
         for ordering in permutations(points):
             if classify_T(code, tuple(ordering)) != expected:
                 return FAIL, "ordering", {"T": list(sub)}
-        # shifting by -u moves each u of T to zero in turn, so every
-        # point serves as the base once; a few random shifts on top
+        # the orderings start the elimination from every point; the -u
+        # shifts move each u of T to zero in turn, random shifts on top
         shifts = [tuple(f.neg(x) for x in p) for p in points]
         shifts += [code.point(i) for i in _draw(rng, code.n, min(3, code.n))]
         for v in shifts:

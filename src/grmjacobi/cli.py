@@ -15,7 +15,6 @@ import os
 import re
 import signal
 import sys
-import threading
 from contextlib import closing
 
 from .field import Field
@@ -398,9 +397,10 @@ def main(argv=None) -> int:
     reaping any forked workers) and exits 143.  Only the main thread can
     handle signals, so called from another thread, main leaves SIGTERM alone."""
     parser = build_parser()
-    handles_sigterm = threading.current_thread() is threading.main_thread()
-    if handles_sigterm:
+    try:
         previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    except ValueError:  # not the main thread
+        previous = None
     try:
         args = parser.parse_args(argv)
         if getattr(args, "workers", 1) < 1:
@@ -420,7 +420,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         return EXIT_USAGE
     finally:
-        if handles_sigterm:
+        if previous is not None:
             signal.signal(signal.SIGTERM, previous)
 
 

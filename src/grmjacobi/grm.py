@@ -11,10 +11,10 @@ require_budget whether its work fits WORK_BUDGET, and refuses with
 BudgetExceeded before it starts rather than run for hours.
 
 A position set T (a tuple of points) is classified by its affine rank: the
-rank of the difference vectors d_i = u_i - u_0 taken from the first point
-of T in V-order.  Four-point sets of rank 2 additionally split into two
-sub-cases via the dependency c_1 d_1 + c_2 d_2 + c_3 d_3 = 0 that the same
-elimination yields: "collinear-triple" when some c_i = 0 or
+rank of the difference vectors d_i = u_i - u_0 taken from T's first point,
+in the caller's order.  Four-point sets of rank 2 additionally split into
+two sub-cases via the dependency c_1 d_1 + c_2 d_2 + c_3 d_3 = 0 that the
+same elimination yields: "collinear-triple" when some c_i = 0 or
 c_1 + c_2 + c_3 = 0 (three of the points lie on a line), "generic"
 otherwise.
 
@@ -335,20 +335,19 @@ def _classify(code: GrmCode, points: PointSet) -> TClass:
     subsets are distinct indices into code.points().
 
     One Gaussian elimination runs on the differences d_i = u_i - u_0 from
-    the first point u_0 of T in V-order, each row augmented with its unit
-    tag e_i.  The rank is the number of pivots, and a row that eliminates
-    to zero on V carries in its tag a dependency sum c_i d_i = 0.  A rank-2
-    quad has exactly one such row: it is "collinear-triple" when some c_i
-    is 0 (u_0, u_j, u_k on a line) or c_1 + c_2 + c_3 = 0 (u_1, u_2, u_3 on
-    a line), and "generic" otherwise.  Invariance under base choice, point
-    order and translation is a tested property, not an assumption.
+    T's first point u_0, in the caller's order, each row augmented with
+    its unit tag e_i.  The rank is the number of pivots, and a row that
+    eliminates to zero on V carries in its tag a dependency sum
+    c_i d_i = 0.  A rank-2 quad has exactly one such row: it is
+    "collinear-triple" when some c_i is 0 (u_0, u_j, u_k on a line) or
+    c_1 + c_2 + c_3 = 0 (u_1, u_2, u_3 on a line), and "generic"
+    otherwise.  Invariance under base choice, point order and translation
+    is a tested property, not an assumption.
     """
     t = len(points)
     f, m = code.field, code.m
-    pts = sorted(points)
-    base = pts[0]
     k = t - 1
-    rows = [f.sub_scaled(p, 1, base) + tag[:k] for p, tag in zip(pts[1:], _UNIT_TAGS)]
+    rows = [f.sub_scaled(p, 1, points[0]) + tag[:k] for p, tag in zip(points[1:], _UNIT_TAGS)]
     rank = 0
     for col in range(m):
         for pivot in range(rank, k):
@@ -555,17 +554,17 @@ def _leaf_profiles(sweep: tuple, prefix: tuple, start: int, stop: int) -> list[t
     first = second = 0
     c1 = c2 = None
     if t == 2:
-        c0 = CLASSES[0]
+        c0 = _SHARED[2, 1, None]
     elif t == 3:
-        first, c1, c0 = lines[prefix[0]][prefix[1]], CLASSES[2], CLASSES[1]
+        first, c1, c0 = lines[prefix[0]][prefix[1]], _SHARED[3, 1, None], _SHARED[3, 2, None]
     else:
         u, v, w = prefix
-        line = lines[u][v]
+        line, collinear = lines[u][v], _SHARED[4, 2, COLLINEAR_TRIPLE]
         if line >> w & 1:
-            first, c1, c0 = line, CLASSES[6], CLASSES[4]
+            first, c1, c0 = line, _SHARED[4, 1, None], collinear
         else:
-            first, c1, c0 = line | lines[u][w] | lines[v][w], CLASSES[4], CLASSES[3]
-            second, c2 = _plane(code, lines, u, v, w), CLASSES[5]
+            first, c1, c0 = line | lines[u][w] | lines[v][w], collinear, _SHARED[4, 3, None]
+            second, c2 = _plane(code, lines, u, v, w), _SHARED[4, 2, GENERIC]
     if values is not None:
         l1, l2, l3 = _lanes([values[i] for i in prefix], t - 1) + [0] * (4 - t)
         e1, e2, e3 = l1.bit_count(), l2.bit_count(), l3.bit_count()
@@ -611,15 +610,16 @@ def _blocks_through(masks: list[int], sub) -> int:
 
 # Candidate witnesses per class: each point's first three coordinates, as
 # element indices (2 and 3 exist for q >= 3 and 4), the rest zero.
-_WITNESSES = dict(zip(CLASSES, (
-    ((0, 0, 0), (1, 0, 0)),
-    ((0, 0, 0), (1, 0, 0), (0, 1, 0)),
-    ((0, 0, 0), (1, 0, 0), (2, 0, 0)),
-    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0)),  # dependency (2, 0, -1) has a zero
-    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),  # dependency (1, 1, -1): no zero, sum 1
-    ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)),
-)))
+_WITNESSES = {
+    TClass(2, 1): ((0, 0, 0), (1, 0, 0)),
+    TClass(3, 2): ((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+    TClass(3, 1): ((0, 0, 0), (1, 0, 0), (2, 0, 0)),
+    TClass(4, 3): ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    # collinear-triple: dependency (2, 0, -1) has a zero; generic: (1, 1, -1), none, sum 1
+    TClass(4, 2, COLLINEAR_TRIPLE): ((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0)),
+    TClass(4, 2, GENERIC): ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),
+    TClass(4, 1): ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)),
+}
 
 
 def class_witness(code: GrmCode, tclass: TClass) -> PointSet | None:

@@ -636,3 +636,18 @@ def test_only_verify_loads_the_checks():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.stderr.split() == ["False", "0"]
+
+
+def test_a_command_loads_no_threading():
+    # -S: a site-packages .pth file may import threading before main runs
+    script = (
+        "import sys\n"
+        "from grmjacobi.cli import main\n"
+        "code = main(['design', '--p', '3', '--m', '2', '--l', '6', '--t', '3'])\n"
+        "print('threading' in sys.modules, code, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(grmjacobi.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stderr.split() == ["False", "0"]

@@ -4,7 +4,7 @@ import pickle
 import random
 from collections import Counter
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -466,6 +466,30 @@ def test_class_is_invariant_under_order_and_translation(case):
     expected = classify_T(code, T)
     assert classify_T(code, tuple(T[i] for i in order)) == expected
     assert classify_T(code, translate_T(code.field, T, shift)) == expected
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2)])
+@pytest.mark.parametrize("T, expected", [
+    (((0, 0), (1, 0), (2, 0), (0, 1)), TClass(4, 2, COLLINEAR_TRIPLE)),
+    (((0, 0), (1, 0), (0, 1), (1, 1)), TClass(4, 2, GENERIC)),
+])
+def test_each_ordering_eliminates_from_its_first_point(monkeypatch, p, k, T, expected):
+    # The rows d_i = u_i - u_0 are the only sub_scaled calls whose third
+    # argument is a bare point; the elimination's rows carry their tags.
+    code = get_code(p, k, 2)
+    bases = []
+    sub_scaled = Field.sub_scaled
+
+    def spy(self, u, c, v):
+        if len(v) == code.m:
+            bases.append(tuple(v))
+        return sub_scaled(self, u, c, v)
+
+    monkeypatch.setattr(Field, "sub_scaled", spy)
+    for ordering in permutations(T):
+        bases.clear()
+        assert classify_T(code, ordering) == expected
+        assert bases == [ordering[0]] * 3
 
 
 # ---------------------------------------------------------
