@@ -17,24 +17,9 @@ import signal
 import sys
 from contextlib import closing
 
-from .field import Field
-from .grm import (
-    CLASSES,
-    COLLINEAR_TRIPLE,
-    GENERIC,
-    GrmCode,
-    class_witness,
-    classify_T,
-    reachable_classes,
-)
-from .jacobi import JacobiPolynomial, jacobi_brute_force, jacobi_closed_form, middle_shell_weight
-from .designs import (
-    design_check_bruteforce,
-    design_check_jacobi,
-    generalized_design_params,
-    route_disagreement,
-)
-from .conjecture import COUNTEREXAMPLE, DEFAULT_BOUND, conjecture_scan
+# Only the standard library here: each command imports the library code it
+# runs, so parsing the arguments, --help and a usage error load no other
+# module of the package.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,6 +98,9 @@ def _emit(obj, pretty_lines, output):
 
 
 def _make_code(args) -> GrmCode:
+    from .field import Field
+    from .grm import GrmCode
+
     return GrmCode(Field(args.p, args.k), args.m)
 
 
@@ -122,6 +110,8 @@ def _make_code(args) -> GrmCode:
 def _jacobi_targets(code: GrmCode, args):
     """Resolve --points, or the reachable classes of --t-size that have the
     --rank and --subcase given, into a list of (points, tclass) items."""
+    from .grm import CLASSES, class_witness, classify_T, reachable_classes
+
     if args.points:
         points = parse_points(args.points, code.m)
         cls = classify_T(code, points) if len(points) in {c.t for c in CLASSES} else None
@@ -143,6 +133,14 @@ def _jacobi_targets(code: GrmCode, args):
 
 
 def cmd_jacobi(args) -> int:
+    from .grm import COLLINEAR_TRIPLE, GENERIC
+    from .jacobi import jacobi_brute_force, jacobi_closed_form
+
+    if args.subcase not in (None, COLLINEAR_TRIPLE, GENERIC):
+        raise ValueError(
+            f"argument --subcase: invalid choice: {args.subcase!r} "
+            f"(choose from {COLLINEAR_TRIPLE!r}, {GENERIC!r})"
+        )
     code = _make_code(args)
     items = _jacobi_targets(code, args)
     results = []
@@ -189,6 +187,14 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_design(args) -> int:
+    from .designs import (
+        design_check_bruteforce,
+        design_check_jacobi,
+        generalized_design_params,
+        route_disagreement,
+    )
+    from .jacobi import middle_shell_weight
+
     code = _make_code(args)
     # brute force first, so that beyond the work budget its refusal is the
     # error reported; the report keeps jacobi first
@@ -246,7 +252,6 @@ def cmd_design(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # imported here: no other command compiles or loads the checks
     from .checks import DEFAULT_PAIRS, run_checks
 
     if (args.p is None) != (args.m is None):
@@ -271,7 +276,9 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     """Write each pair's record, and flush it, as soon as the pair is
     checked; the exit code is known only after the last one."""
-    bound = parse_bound(args.bound)
+    from .conjecture import COUNTEREXAMPLE, DEFAULT_BOUND, conjecture_scan
+
+    bound = DEFAULT_BOUND if args.bound is None else parse_bound(args.bound)
     bad = False
     # closing: an early stop (a closed pipe, an interrupt) ends the pairs
     # not yet written, running ones too; each result is dropped once its
@@ -345,10 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     pj.add_argument("--points", help='explicit T, e.g. "(0,0);(0,1)"')
     pj.add_argument("--t-size", type=int, dest="t_size", help="|T| for a class selector")
     pj.add_argument("--rank", type=int, help="affine rank of the class")
-    pj.add_argument(
-        "--subcase", choices=(COLLINEAR_TRIPLE, GENERIC),
-        help="sub-case for |T|=4 rank-2 classes",
-    )
+    pj.add_argument("--subcase", help="sub-case for |T|=4 rank-2 classes")
     pj.add_argument("--method", choices=("brute", "closed", "both"), default="both")
     add_output(pj)
     pj.set_defaults(fn=cmd_jacobi)
@@ -375,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("scan", help="dual-shell scan (JSON lines, one per pair)")
-    ps.add_argument("--bound", default=str(DEFAULT_BOUND), help="scan all q^(2m) < bound")
+    ps.add_argument("--bound", help="scan all q^(2m) < bound (default: conjecture.DEFAULT_BOUND)")
     add_workers(ps)
     ps.set_defaults(fn=cmd_scan)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, NamedTuple
 
-from .field import prime_power
+from .field import SMALL_PRIMES, prime_power
 from .grm import require_budget
 from .jacobi import binom_conv, difference_degrees, middle_shell_weight
 from ._parallel import run_chunks
@@ -147,12 +147,16 @@ def dual_diff_coefficient(q: int, m: int, ell: int) -> int:
 
 
 def scan_pairs(bound: int) -> list[tuple[int, int]]:
-    """All (q, m) with q >= 3 a prime power, m >= 1, q^(2m) < bound.  The
-    candidates q <= isqrt(bound), at most isqrt(isqrt(bound)) trial divisors
-    each, must fit the work budget: bounds up to about 1.8e10 do."""
+    """All (q, m) with q >= 3 a prime power, m >= 1, q^(2m) < bound.  Each
+    candidate q <= isqrt(bound) costs prime_power at most two passes of
+    trial division by SMALL_PRIMES (its own, then is_prime's) and one
+    Miller-Rabin round per small prime; the candidates times those steps
+    must fit the work budget: bounds below 1282052^2, about 1.6e12, do."""
     root = math.isqrt(bound)
-    divisors = math.isqrt(root)
-    require_budget(root * divisors, f"{root} candidates q x {divisors} trial divisors")
+    steps = 3 * len(SMALL_PRIMES)
+    require_budget(
+        root * steps, f"{root} candidates q x {steps} trial divisors and Miller-Rabin rounds"
+    )
     pairs = []
     q = 3
     while q * q < bound:

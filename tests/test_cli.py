@@ -15,7 +15,7 @@ import pytest
 
 import grmjacobi
 from grmjacobi import Field, GrmCode, conjecture
-from grmjacobi.cli import build_parser, main, parse_bound, parse_points
+from grmjacobi.cli import main, parse_bound, parse_points
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +70,16 @@ def test_parse_bound():
             parse_bound(bad)
 
 
-def test_scan_bound_defaults_to_the_scans_own():
-    assert parse_bound(build_parser().parse_args(["scan"]).bound) == conjecture.DEFAULT_BOUND
+def test_scan_bound_defaults_to_the_scans_own(capsys, monkeypatch):
+    asked = []
+
+    def recording(bound, workers):
+        asked.append(bound)
+        yield from ()
+
+    monkeypatch.setattr(conjecture, "conjecture_scan", recording)
+    assert run_cli(capsys, ["scan"]) == (0, "", "")
+    assert asked == [conjecture.DEFAULT_BOUND]
 
 
 # ---------------------------------------------------------
@@ -238,7 +246,7 @@ def test_design_jacobi_route_needs_no_enumeration(capsys, schema):
 @pytest.mark.parametrize("field", ["class_counts", "block_count"])
 def test_design_routes_disagree_on_sizes_exit_2(capsys, monkeypatch, field):
     # the lambdas and the verdict still agree: only a size comparison sees it
-    honest = grmjacobi.cli.design_check_jacobi
+    honest = grmjacobi.designs.design_check_jacobi
 
     def skewed(code, ell, t):
         report = honest(code, ell, t)
@@ -247,7 +255,7 @@ def test_design_routes_disagree_on_sizes_exit_2(capsys, monkeypatch, field):
         cls = next(iter(report.class_counts))
         return report._replace(class_counts={**report.class_counts, cls: 0})
 
-    monkeypatch.setattr(grmjacobi.cli, "design_check_jacobi", skewed)
+    monkeypatch.setattr(grmjacobi.designs, "design_check_jacobi", skewed)
     code, out, _ = run_cli(capsys, ["design", "--p", "3", "--m", "2", "--l", "6", "--t", "3"])
     assert code == 2
     assert json.loads(out)["agree"] is False
@@ -636,6 +644,61 @@ def test_only_verify_loads_the_checks():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.stderr.split() == ["False", "0"]
+
+
+BEFORE_ANY_COMMAND = {"grmjacobi", "grmjacobi.cli"}
+ENUM = BEFORE_ANY_COMMAND | {"grmjacobi.field", "grmjacobi.grm", "grmjacobi._parallel"}
+JACOBI = ENUM | {"grmjacobi.jacobi"}
+DESIGN = JACOBI | {"grmjacobi.designs"}
+SCAN = JACOBI | {"grmjacobi.conjecture"}
+VERIFY = DESIGN | SCAN | {"grmjacobi.checks"}
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,loaded",
+    [
+        (["--help"], 0, BEFORE_ANY_COMMAND),
+        (["jacobi", "--m", "2"], 1, BEFORE_ANY_COMMAND),
+        (["enum", "--p", "3", "--m", "2"], 0, ENUM),
+        (["jacobi", "--p", "3", "--m", "2", "--t-size", "3"], 0, JACOBI),
+        (["design", "--p", "3", "--m", "2", "--l", "6", "--t", "3", "--method", "jacobi"], 0, DESIGN),
+        (["design", "--p", "3", "--m", "2", "--l", "6", "--t", "3", "--method", "brute"], 0, DESIGN),
+        (["scan", "--bound", "100"], 0, SCAN),
+        (["verify", "--p", "2", "--m", "2"], 0, VERIFY),
+    ],
+    ids=["help", "usage-error", "enum", "jacobi", "design-jacobi", "design-brute", "scan", "verify"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, exit_code, loaded):
+    # a fresh interpreter, so that no earlier test has imported them
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from grmjacobi.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        code = main(json.loads(sys.argv[1]))\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, *sorted(m for m in sys.modules if m.partition('.')[0] == 'grmjacobi'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(grmjacobi.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    code, *modules = proc.stdout.split()
+    assert code == str(exit_code), proc.stderr
+    assert set(modules) == loaded
+
+
+def test_jacobi_unknown_subcase_exit_1(capsys):
+    code, out, err = run_cli(
+        capsys, ["jacobi", "--p", "3", "--m", "2", "--t-size", "4", "--subcase", "flat"]
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error: argument --subcase: invalid choice: 'flat' "
+        "(choose from 'collinear-triple', 'generic')\n"
+    )
 
 
 def test_a_command_loads_no_threading():

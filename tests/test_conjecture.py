@@ -23,6 +23,7 @@ from grmjacobi import (
     scan_pairs,
 )
 from grmjacobi.conjecture import prime_power, scan_pair
+from grmjacobi import grm
 from grmjacobi.grm import BudgetExceeded
 
 from conftest import get_code
@@ -180,6 +181,26 @@ def test_scan_refuses_a_bound_beyond_its_pair_budget_at_the_call():
         conjecture_scan(10**13)
     with pytest.raises(BudgetExceeded):
         scan_pairs(10**400)
+
+
+def test_scan_pairs_budget_counts_each_candidates_primality_steps(monkeypatch):
+    # 39 steps a candidate: two passes of 13 trial divisors, 13 rounds
+    with pytest.raises(BudgetExceeded) as refused:
+        scan_pairs(1282052**2)
+    assert str(refused.value) == (
+        "1282052 candidates q x 39 trial divisors and Miller-Rabin rounds"
+        " = 50000028 exceeds the work budget 50000000"
+    )
+    monkeypatch.setattr(grm, "WORK_BUDGET", 39 * 1000)
+    assert scan_pairs(1001**2 - 1)[-1] == (997, 1)
+    with pytest.raises(BudgetExceeded, match="1001 candidates"):
+        scan_pairs(1001**2)
+
+
+def test_scan_pairs_admits_bounds_past_1e11():
+    pairs = scan_pairs(10**11)
+    assert len(pairs) == 27631
+    assert pairs[-1] == (316223, 1)  # the largest prime below isqrt(10**11) = 316227
 
 
 def test_scan_pair_q3_m2_confirmed():
